@@ -15,6 +15,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,15 +38,15 @@ type StageStats struct {
 	// Retries counts failed task attempts that were re-executed (panics
 	// and injected faults).
 	Retries int64
-	// AllocDelta is the growth of cumulative heap allocation
-	// (runtime.MemStats.TotalAlloc) across the stage, in bytes. It is a
-	// process-wide measure: concurrent allocation outside the stage is
-	// attributed to it too.
+	// AllocDelta is the growth of cumulative heap allocation across the
+	// stage, in bytes: runtime.MemStats.TotalAlloc's meaning, read from
+	// runtime/metrics (see readAllocs). It is a process-wide measure:
+	// concurrent allocation outside the stage is attributed to it too.
 	AllocDelta int64
 	// MallocDelta is the growth of the cumulative heap allocation count
-	// (runtime.MemStats.Mallocs) across the stage — the allocs/op
-	// numerator for stage-level benchmark reporting. Process-wide, like
-	// AllocDelta.
+	// across the stage, tiny allocations included (runtime.MemStats.Mallocs'
+	// meaning) — the allocs/op numerator for stage-level benchmark
+	// reporting. Process-wide, like AllocDelta.
 	MallocDelta int64
 	// Faults accounts everything the fault injector did to this stage and
 	// how the scheduler responded. All zero when no Injector is installed.
@@ -340,8 +341,11 @@ type Cluster struct {
 	// loaded once per executor, not once per task, as on Spark. Zero
 	// defaults to ceil(Workers/4), matching the paper's 4-core nodes.
 	Executors int
-	// Parallelism bounds real concurrent goroutines; defaults to
-	// GOMAXPROCS.
+	// Parallelism bounds the real goroutines a stage runs its tasks on;
+	// New sets it to GOMAXPROCS. It changes wall time only: task results,
+	// and so every output, are independent of it. A caller that shares
+	// the process with latency-sensitive goroutines can lower it to leave
+	// them a P (the online refitter runs GOMAXPROCS-1 while it serves).
 	Parallelism int
 	// MaxTaskRetries is how many times a panicking task is re-executed
 	// before the panic propagates, mirroring Spark's task re-execution.
@@ -452,6 +456,43 @@ func (a *faultAccum) stats() FaultStats {
 	}
 }
 
+// allocMetrics names the runtime/metrics counters behind AllocDelta and
+// MallocDelta. runtime.ReadMemStats would give the same numbers but stops
+// the world, twice per stage, which stalls every goroutine in the process —
+// a server's request handlers included while a refit runs beside them.
+var allocMetrics = [...]string{
+	"/gc/heap/allocs:bytes",
+	"/gc/heap/allocs:objects",
+	"/gc/heap/tiny/allocs:objects",
+}
+
+// allocCounts is one reading of the process's cumulative heap allocation.
+type allocCounts struct {
+	bytes   uint64 // MemStats.TotalAlloc
+	objects uint64 // MemStats.Mallocs: heap objects plus tiny allocations
+}
+
+// readAllocs samples the cumulative allocation counters without stopping
+// the world.
+func readAllocs() allocCounts {
+	var s [len(allocMetrics)]metrics.Sample
+	for i, name := range allocMetrics {
+		s[i].Name = name
+	}
+	metrics.Read(s[:])
+	return allocCounts{
+		bytes:   s[0].Value.Uint64(),
+		objects: s[1].Value.Uint64() + s[2].Value.Uint64(),
+	}
+}
+
+// setAllocDelta records the allocation growth since mem0.
+func (s *StageStats) setAllocDelta(mem0 allocCounts) {
+	mem1 := readAllocs()
+	s.AllocDelta = int64(mem1.bytes - mem0.bytes)
+	s.MallocDelta = int64(mem1.objects - mem0.objects)
+}
+
 // New returns a cluster simulating w virtual workers.
 func New(w int) *Cluster {
 	return &Cluster{Workers: w, Parallelism: runtime.GOMAXPROCS(0)}
@@ -504,8 +545,7 @@ func (c *Cluster) RunStage(phase, name string, n int, fn func(task int)) *StageS
 // MaxFaultsPerTask treat as a healthy node and never fault.
 func (c *Cluster) RunStageAttempts(phase, name string, n int, fn func(task, attempt int)) *StageStats {
 	s := &StageStats{Name: name, Phase: phase, Costs: make([]time.Duration, n)}
-	var mem0 runtime.MemStats
-	runtime.ReadMemStats(&mem0)
+	mem0 := readAllocs()
 	start := time.Now()
 	if c.Sink != nil {
 		c.emit(Event{Kind: EventStageStart, Stage: name, Phase: phase, Task: -1, Time: start})
@@ -579,10 +619,7 @@ func (c *Cluster) RunStageAttempts(phase, name string, n int, fn func(task, atte
 			s.TaskWorkers[i] = acc.workers[i].Load() - 1
 		}
 	}
-	var mem1 runtime.MemStats
-	runtime.ReadMemStats(&mem1)
-	s.AllocDelta = int64(mem1.TotalAlloc - mem0.TotalAlloc)
-	s.MallocDelta = int64(mem1.Mallocs - mem0.Mallocs)
+	s.setAllocDelta(mem0)
 	if c.Sink != nil {
 		c.emit(Event{Kind: EventStageEnd, Stage: name, Phase: phase, Task: -1,
 			Time: time.Now(), Duration: s.Wall})
@@ -757,8 +794,7 @@ func (c *Cluster) maxRetries() int {
 // Serial measures a single driver-side action as a one-task stage.
 func (c *Cluster) Serial(phase, name string, fn func()) *StageStats {
 	s := &StageStats{Name: name, Phase: phase}
-	var mem0 runtime.MemStats
-	runtime.ReadMemStats(&mem0)
+	mem0 := readAllocs()
 	t0 := time.Now()
 	if c.Sink != nil {
 		c.emit(Event{Kind: EventStageStart, Stage: name, Phase: phase, Task: -1, Time: t0})
@@ -767,10 +803,7 @@ func (c *Cluster) Serial(phase, name string, fn func()) *StageStats {
 	d := time.Since(t0)
 	s.Costs = []time.Duration{d}
 	s.Wall = d
-	var mem1 runtime.MemStats
-	runtime.ReadMemStats(&mem1)
-	s.AllocDelta = int64(mem1.TotalAlloc - mem0.TotalAlloc)
-	s.MallocDelta = int64(mem1.Mallocs - mem0.Mallocs)
+	s.setAllocDelta(mem0)
 	if c.Sink != nil {
 		c.emit(Event{Kind: EventStageEnd, Stage: name, Phase: phase, Task: -1,
 			Time: time.Now(), Duration: d})
@@ -785,18 +818,14 @@ func (c *Cluster) Serial(phase, name string, fn func()) *StageStats {
 func (c *Cluster) Broadcast(phase, name string, produce func() []byte) []byte {
 	var payload []byte
 	s := &StageStats{Name: name, Phase: phase}
-	var mem0 runtime.MemStats
-	runtime.ReadMemStats(&mem0)
+	mem0 := readAllocs()
 	t0 := time.Now()
 	payload = produce()
 	d := time.Since(t0)
 	s.Costs = []time.Duration{d}
 	s.Wall = d
 	s.Bytes = int64(len(payload))
-	var mem1 runtime.MemStats
-	runtime.ReadMemStats(&mem1)
-	s.AllocDelta = int64(mem1.TotalAlloc - mem0.TotalAlloc)
-	s.MallocDelta = int64(mem1.Mallocs - mem0.Mallocs)
+	s.setAllocDelta(mem0)
 	if c.Sink != nil {
 		c.emit(Event{Kind: EventBroadcast, Stage: name, Phase: phase, Task: -1,
 			Time: time.Now(), Duration: d, Bytes: s.Bytes})

@@ -245,15 +245,21 @@ func TestTaskRetryOnInjectedFault(t *testing.T) {
 
 func TestTaskRetryRecoversPanics(t *testing.T) {
 	c := New(2)
-	var attempts atomic.Int64
+	// Per-task counters: a shared odd/even counter lets two concurrent
+	// tasks interleave so that one of them panics on every attempt.
+	var attempts [4]atomic.Int64
 	c.RunStage("II", "panicky", 4, func(i int) {
-		if attempts.Add(1)%2 == 1 {
+		if attempts[i].Add(1) == 1 {
 			panic("transient")
 		}
 	})
 	// Each task panicked once and succeeded on retry: 8 attempts.
-	if attempts.Load() != 8 {
-		t.Fatalf("attempts = %d, want 8", attempts.Load())
+	var total int64
+	for i := range attempts {
+		total += attempts[i].Load()
+	}
+	if total != 8 {
+		t.Fatalf("attempts = %d, want 8", total)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +27,7 @@ import (
 // that callers must be able to handle.
 func (c *Cluster) StreamStage(phase, name string, pull func(task int) (func(), error)) (*StageStats, error) {
 	s := &StageStats{Name: name, Phase: phase}
-	var mem0 runtime.MemStats
-	runtime.ReadMemStats(&mem0)
+	mem0 := readAllocs()
 	start := time.Now()
 	if c.Sink != nil {
 		c.emit(Event{Kind: EventStageStart, Stage: name, Phase: phase, Task: -1, Time: start})
@@ -118,10 +116,7 @@ func (c *Cluster) StreamStage(phase, name string, pull func(task int) (func(), e
 	s.Wall = time.Since(start)
 	s.Retries = retries.Load()
 	s.Faults = acc.stats()
-	var mem1 runtime.MemStats
-	runtime.ReadMemStats(&mem1)
-	s.AllocDelta = int64(mem1.TotalAlloc - mem0.TotalAlloc)
-	s.MallocDelta = int64(mem1.Mallocs - mem0.Mallocs)
+	s.setAllocDelta(mem0)
 	if c.Sink != nil {
 		c.emit(Event{Kind: EventStageEnd, Stage: name, Phase: phase, Task: -1,
 			Time: time.Now(), Duration: s.Wall})

@@ -150,8 +150,14 @@ func TestDebugServerServesVarsAndPprof(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", w.Code)
 	}
-	if _, err := ParseExposition(w.Body); err != nil {
+	fams, err := ParseExposition(w.Body)
+	if err != nil {
 		t.Fatalf("/metrics output rejected: %v", err)
+	}
+	for _, want := range []string{"go_sched_latencies_seconds", "go_sched_pauses_total_gc_seconds"} {
+		if fams[want] == nil || fams[want].Type != "histogram" {
+			t.Errorf("/metrics missing runtime histogram %s", want)
+		}
 	}
 	if srv.Addr() == "" {
 		t.Fatal("bound address not reported")

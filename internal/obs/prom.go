@@ -1,6 +1,7 @@
 // Prometheus text exposition (stdlib only): WriteMetrics renders every
-// rpdbscan.* expvar counter, every registered histogram, and the gauges of
-// the last published run Snapshot in the version 0.0.4 text format, with
+// rpdbscan.* expvar counter, every registered histogram, the Go runtime's
+// scheduler-latency and GC-pause histograms, and the gauges of the last
+// published run Snapshot in the version 0.0.4 text format, with
 // # HELP / # TYPE lines per family. MetricsHandler mounts it at /metrics
 // on both the debug server and the prediction server's mux.
 //
@@ -66,10 +67,10 @@ const counterPrefix = "rpdbscan."
 
 // WriteMetrics renders the full exposition: one counter family per
 // rpdbscan.* expvar.Int (sorted by name, with the conventional _total
-// suffix), one histogram family per registered histogram, and the phase /
-// run gauge families of the last published Snapshot (omitted until a run
-// publishes one). Output is deterministic up to the monotone counter
-// values.
+// suffix), one histogram family per registered histogram, the runtime
+// histograms of runtimeHistograms, and the phase / run gauge families of
+// the last published Snapshot (omitted until a run publishes one). Output
+// is deterministic up to the monotone counter and histogram values.
 func WriteMetrics(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 
@@ -127,6 +128,7 @@ func WriteMetrics(w io.Writer) error {
 		fmt.Fprintf(bw, "%s_sum %d\n", name, s.Sum)
 		fmt.Fprintf(bw, "%s_count %d\n", name, total)
 	}
+	writeRuntimeHistograms(bw)
 
 	if snap := PublishedSnapshot(); snap != nil {
 		writeSnapshotGauges(bw, snap)

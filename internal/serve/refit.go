@@ -116,7 +116,11 @@ type RefitConfig struct {
 	ChunkSize  int    // 0 defaults to core.DefaultChunkSize
 	Backend    string // "", "sim", or core.BackendProc
 	// Workers is the virtual cluster width of each refit; 0 defaults to
-	// GOMAXPROCS.
+	// GOMAXPROCS. It sets the simulated cluster and the default partition
+	// count, not the number of goroutines: a default-built refit cluster
+	// runs GOMAXPROCS engine goroutines on a cold start and GOMAXPROCS-1
+	// (at least one) while a generation serves, so one P is left to the
+	// read path.
 	Workers int
 	// Boot, when set, serves from the start as generation BootVersion
 	// (with BootParentHash) until the first refit replaces it.
@@ -467,12 +471,22 @@ func (r *Refitter) fit(target int64) (*Model, *engine.Report, error) {
 	return m, rep, nil
 }
 
-// cluster builds the engine cluster for one refit.
+// cluster builds the engine cluster for one refit. While a generation is
+// serving, a default-built cluster runs one engine goroutine fewer than
+// GOMAXPROCS (at least one): the fit's tasks are CPU-bound and never block,
+// so with every P busy a request whose socket turns readable waits for
+// sysmon's netpoll check and a 10 ms preemption slice before its handler
+// runs. The spare P answers /predict and /ingest at once. A cold start has
+// no readers and keeps full width. The artifact does not depend on
+// Parallelism, only the refit's wall time does.
 func (r *Refitter) cluster() (*engine.Cluster, func(), error) {
 	if r.cfg.Cluster != nil {
 		return r.cfg.Cluster()
 	}
 	cl := engine.New(r.cfg.Workers)
+	if r.cur.Load() != nil {
+		cl.Parallelism = max(cl.Parallelism-1, 1)
+	}
 	cl.Sink = obs.NewSink(nil)
 	cl.Injector = r.cfg.Injector
 	return cl, func() {}, nil

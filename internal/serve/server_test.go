@@ -161,7 +161,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics output rejected: %v", err)
 	}
-	for _, want := range []string{"rpdbscan_serve_requests_total", "rpdbscan_serve_latency_ns", "rpdbscan_predict_batch_points"} {
+	for _, want := range []string{"rpdbscan_serve_requests_total", "rpdbscan_serve_latency_ns", "rpdbscan_predict_batch_points",
+		"go_sched_latencies_seconds", "go_sched_pauses_total_gc_seconds"} {
 		if fams[want] == nil {
 			t.Errorf("/metrics missing family %s", want)
 		}

@@ -84,65 +84,102 @@ func faultTotals(cl *engine.Cluster) engine.FaultStats {
 // observe the worker-side code; CI runs it with -race.
 func TestTransportEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		pts := datagen.Moons(600, 0.05, seed)
-		cfg := core.Config{Eps: 0.1, MinPts: 10, Rho: 0.01, NumPartitions: 6, Seed: seed}
-		ref, err := core.Run(pts, cfg, engine.New(4))
-		if err != nil {
-			t.Fatal(err)
-		}
+		pts, cfg, ref := equivalenceInput(t, seed)
 		for _, workers := range []int{1, 2, 4} {
 			for _, chaosOn := range []bool{false, true} {
 				t.Run(fmt.Sprintf("seed=%d/workers=%d/chaos=%v", seed, workers, chaosOn), func(t *testing.T) {
-					opts := transport.Options{Spawn: transport.InProcess()}
-					var inj *chaos.Injector
-					if chaosOn {
-						var err error
-						inj, err = chaos.New(chaos.Config{
-							Seed: seed, FailProb: 0.08, CorruptProb: 0.08, KillProb: 0.08,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						opts.Injector = inj
-						opts.Killer = inj
-					}
-					cl := engine.New(workers)
-					if inj != nil {
-						cl.Injector = inj
-					}
-					tr, err := transport.NewProc(workers, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer tr.Close()
-					tr.Bind(cl)
-					pcfg := cfg
-					pcfg.Backend = core.BackendProc
-					got, err := core.Run(pts, pcfg, cl)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertIdentical(t, ref, got)
-					f := faultTotals(cl)
-					if !chaosOn {
-						if !f.IsZero() {
-							t.Errorf("fault ledger not empty without chaos: %+v", f)
-						}
-						return
-					}
-					st := inj.Stats()
-					if st.Failures != f.InjectedFailures {
-						t.Errorf("injected failures: injector %d, ledger %d", st.Failures, f.InjectedFailures)
-					}
-					if st.Corruptions != f.ChecksumRejects {
-						t.Errorf("corruptions: injector %d, ledger %d", st.Corruptions, f.ChecksumRejects)
-					}
-					if st.Kills != f.WorkerKills {
-						t.Errorf("kills: injector %d, ledger %d", st.Kills, f.WorkerKills)
-					}
+					checkEquivalence(t, pts, cfg, ref, seed, workers, chaosOn)
 				})
 			}
 		}
+	}
+}
+
+// TestConcurrentRespawnKeepsFreshIncarnation loops the combination that
+// used to fail most often: one worker slot shared by concurrent tasks
+// under kill chaos. A stale connection error from a killed incarnation
+// arriving after another task respawned the slot used to mark the fresh
+// incarnation dead; the tasks then closed each other's workers until
+// delivery gave up ("delivery failed after 4 tries: connection reset by
+// peer"). Every iteration must stay byte-identical and reconcile the fault
+// ledger exactly.
+func TestConcurrentRespawnKeepsFreshIncarnation(t *testing.T) {
+	const seed = 2
+	pts, cfg, ref := equivalenceInput(t, seed)
+	iters := 50
+	if testing.Short() {
+		iters = 10
+	}
+	for i := 0; i < iters && !t.Failed(); i++ {
+		checkEquivalence(t, pts, cfg, ref, seed, 1, true)
+	}
+}
+
+// equivalenceInput is the dataset, configuration and in-process reference
+// result of one TestTransportEquivalence seed.
+func equivalenceInput(t *testing.T, seed int64) (*geom.Points, core.Config, *core.Result) {
+	t.Helper()
+	pts := datagen.Moons(600, 0.05, seed)
+	cfg := core.Config{Eps: 0.1, MinPts: 10, Rho: 0.01, NumPartitions: 6, Seed: seed}
+	ref, err := core.Run(pts, cfg, engine.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts, cfg, ref
+}
+
+// checkEquivalence runs one proc-backend fit on the in-process spawner and
+// checks it against ref; under chaos it also reconciles the engine's fault
+// ledger against the injector's tally.
+func checkEquivalence(t *testing.T, pts *geom.Points, cfg core.Config, ref *core.Result,
+	seed int64, workers int, chaosOn bool) {
+	t.Helper()
+	opts := transport.Options{Spawn: transport.InProcess()}
+	var inj *chaos.Injector
+	if chaosOn {
+		var err error
+		inj, err = chaos.New(chaos.Config{
+			Seed: seed, FailProb: 0.08, CorruptProb: 0.08, KillProb: 0.08,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Injector = inj
+		opts.Killer = inj
+	}
+	cl := engine.New(workers)
+	if inj != nil {
+		cl.Injector = inj
+	}
+	tr, err := transport.NewProc(workers, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.Bind(cl)
+	pcfg := cfg
+	pcfg.Backend = core.BackendProc
+	got, err := core.Run(pts, pcfg, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, ref, got)
+	f := faultTotals(cl)
+	if !chaosOn {
+		if !f.IsZero() {
+			t.Errorf("fault ledger not empty without chaos: %+v", f)
+		}
+		return
+	}
+	st := inj.Stats()
+	if st.Failures != f.InjectedFailures {
+		t.Errorf("injected failures: injector %d, ledger %d", st.Failures, f.InjectedFailures)
+	}
+	if st.Corruptions != f.ChecksumRejects {
+		t.Errorf("corruptions: injector %d, ledger %d", st.Corruptions, f.ChecksumRejects)
+	}
+	if st.Kills != f.WorkerKills {
+		t.Errorf("kills: injector %d, ledger %d", st.Kills, f.WorkerKills)
 	}
 }
 
