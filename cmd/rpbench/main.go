@@ -524,10 +524,10 @@ func fig20(s harness.Scale) error {
 // skip).
 var phase2Out string
 
-// phase2: Phase II hot-path benchmark — blocked SoA kernels vs the scalar
-// batched path vs the per-point oracle, swept over dim and size.
+// phase2: Phase II hot-path benchmark — blocked SoA kernels vs the
+// per-point oracle, swept over dim and size.
 func phase2(s harness.Scale) error {
-	header("Phase II: blocked vs batched vs per-point region queries (skewed mixture)")
+	header("Phase II: blocked vs per-point region queries (skewed mixture)")
 	rows, err := harness.Phase2(s)
 	if err != nil {
 		return err

@@ -91,7 +91,7 @@ func main() {
 	minPts := flag.Int("minpts", 0, "DBSCAN core threshold (required)")
 	rho := flag.Float64("rho", 0.01, "approximation rate")
 	algo := flag.String("algo", "rp", "algorithm: rp|esp|rbp|cbp|spark|ng|exact")
-	backend := flag.String("backend", core.BackendSim, "execution backend: sim|proc (algo rp only)")
+	backend := flag.String("backend", "sim", "execution backend: sim|proc (algo rp only)")
 	workerMode := flag.Bool("worker", false, "run as a transport worker process (spawned internally by -backend=proc)")
 	partitions := flag.Int("partitions", 0, "number of splits (default workers)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
@@ -134,14 +134,10 @@ func main() {
 		os.Exit(2)
 	}
 	switch *backend {
-	case core.BackendSim, "":
-	case core.BackendProc:
+	case "sim", "":
+	case "proc":
 		if *algo != "rp" {
 			log.Error("-backend=proc supports only -algo rp", "algo", *algo)
-			os.Exit(2)
-		}
-		if *stream {
-			log.Error("-backend=proc is incompatible with -stream")
 			os.Exit(2)
 		}
 	default:
@@ -184,7 +180,7 @@ func main() {
 	cl.Sink = obs.NewSink(log)
 	var inj *chaos.Injector
 	if *chaosFail > 0 || *chaosStraggler > 0 || *chaosCorrupt > 0 || *chaosKill > 0 {
-		if *chaosKill > 0 && *backend != core.BackendProc {
+		if *chaosKill > 0 && *backend != "proc" {
 			log.Error("-chaos-kill needs -backend=proc (there is no worker process to kill)")
 			os.Exit(2)
 		}
@@ -199,7 +195,7 @@ func main() {
 		log.Info("chaos enabled", "seed", *chaosSeed, "fail", *chaosFail,
 			"straggler", *chaosStraggler, "corrupt", *chaosCorrupt, "kill", *chaosKill)
 	}
-	if *backend == core.BackendProc {
+	if *backend == "proc" {
 		opts := transport.Options{}
 		if inj != nil {
 			opts.Injector = inj
@@ -221,7 +217,7 @@ func main() {
 	case "rp":
 		cfg := core.Config{
 			Eps: *eps, MinPts: *minPts, Rho: *rho,
-			NumPartitions: k, Seed: *seed, Backend: *backend,
+			NumPartitions: k, Seed: *seed,
 		}
 		var res *core.Result
 		if *stream {

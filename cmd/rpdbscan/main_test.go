@@ -163,6 +163,16 @@ func TestGoldenProcBackend(t *testing.T) {
 	if !bytes.Equal(chaotic, want) {
 		t.Fatalf("-backend=proc with chaos changed the output labels\nstderr:\n%s", stderr)
 	}
+	// A streamed fit on the proc backend, clean and under the same chaos.
+	for _, chaosArgs := range [][]string{nil, {
+		"-chaos-fail", "0.2", "-chaos-corrupt", "0.2", "-chaos-kill", "0.2", "-chaos-seed", "5",
+	}} {
+		args := append([]string{"-backend", "proc", "-stream", "-chunk-size", "7"}, chaosArgs...)
+		streamed, stderr := runCLI(t, append(args, fixtureArgs...)...)
+		if !bytes.Equal(streamed, want) {
+			t.Fatalf("-backend=proc -stream %v diverged from the golden\nstderr:\n%s", chaosArgs, stderr)
+		}
+	}
 }
 
 // TestProcBackendFlagErrors pins the proc backend's rejection paths:
@@ -174,7 +184,6 @@ func TestProcBackendFlagErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string][]string{
-		"stream":          {"-backend", "proc", "-stream"},
 		"algo":            {"-backend", "proc", "-algo", "exact"},
 		"unknown-backend": {"-backend", "warp"},
 		"kill-needs-proc": {"-chaos-kill", "0.5"},

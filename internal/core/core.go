@@ -4,12 +4,20 @@
 // (Section 5), and Phase III progressive graph merging and point labeling
 // (Section 6). All parallel stages run on an engine.Cluster, which records
 // per-task costs for the experiment harness.
+//
+// There is one pipeline (fit, in stream.go). It is fed by a
+// pointio.Source and shuffles every partition as a sequence of RPS1 run
+// frames: Run keeps those frames in memory, RunStream spills them to
+// files. Each stage body is a plain function over decoded values; on the
+// simulator the driver calls it directly, and on a cluster with a
+// Transport the registered handler (handlers.go) decodes its input, calls
+// the same body and encodes the output.
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"rpdbscan/internal/dict"
@@ -17,6 +25,8 @@ import (
 	"rpdbscan/internal/geom"
 	"rpdbscan/internal/graph"
 	"rpdbscan/internal/grid"
+	"rpdbscan/internal/pointio"
+	"rpdbscan/internal/spill"
 )
 
 // phase2Scratch bundles the blocked path's reusable buffers: the SoA gather
@@ -95,30 +105,12 @@ type Config struct {
 	// using its kd-tree index (dict.Querier.DisableIndex). Results are
 	// identical; only cost changes.
 	DisableIndex bool
-	// DisableSoA answers batched Phase II residuals point by point (the
-	// pre-SoA scalar loops) instead of through the blocked per-dimension
-	// lane kernels. Results are identical; only cost changes. Ablation /
-	// testing knob; ignored when DisableBatching is set.
-	DisableSoA bool
 	// SerialMerge merges Phase III subgraphs with the pairwise tournament
 	// of Figure 9a instead of the flat lock-free merge, restoring the
 	// per-round edge telemetry of Table 7. Results are identical; only
 	// cost and EdgesPerRound granularity change.
 	SerialMerge bool
-
-	// Backend selects where stages execute: "" or "sim" runs every stage
-	// in-process on the virtual-cluster simulator (the default), "proc"
-	// runs Phase I/II stages on the cluster's multi-process Transport
-	// (worker subprocesses over local sockets; see internal/transport).
-	// Results are byte-identical; only the execution substrate changes.
-	Backend string
 }
-
-// Backend values for Config.Backend.
-const (
-	BackendSim  = "sim"
-	BackendProc = "proc"
-)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -133,12 +125,6 @@ func (c Config) Validate() error {
 	}
 	if c.NumPartitions < 0 {
 		return fmt.Errorf("rpdbscan: NumPartitions must be >= 0, got %d", c.NumPartitions)
-	}
-	switch c.Backend {
-	case "", BackendSim, BackendProc:
-	default:
-		return fmt.Errorf("rpdbscan: unknown backend %q (want %q or %q)",
-			c.Backend, BackendSim, BackendProc)
 	}
 	return nil
 }
@@ -176,270 +162,159 @@ type Result struct {
 	Stream *StreamStats
 }
 
-// partState carries one partition's data between phases.
+// partState is one partition's Phase II result — everything Phase III
+// needs from it: the keys of its cells in ascending order, their dense
+// dictionary ids, which cells are core, each cell's core points as
+// ascending global ids, and the partition's cell subgraph.
 type partState struct {
-	cells []*grid.Cell
-	// ids holds each owned cell's dense dictionary id, parallel to cells.
+	keys     []grid.Key
 	ids      []int32
 	cellCore []bool
-	// corePts lists, per cell, the indices of its core points.
 	corePts  [][]int
 	subgraph *graph.Graph
 }
 
-// Run executes RP-DBSCAN over pts on the given cluster. The cluster's
-// report accumulates the stage costs; callers wanting a clean report should
-// pass a fresh cluster.
+// Run executes RP-DBSCAN over pts on the given cluster: the fit pipeline
+// fed from memory in k chunks of ⌈n/k⌉ points, with the partitions' RPS1
+// frames kept in memory. The cluster's report accumulates the stage
+// costs; callers wanting a clean report should pass a fresh cluster.
 func Run(pts *geom.Points, cfg Config, cl *engine.Cluster) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Backend == BackendProc {
-		return runProc(pts, cfg, cl)
+	k := partitionCount(cfg, cl)
+	chunk := max((pts.N()+k-1)/k, 1)
+	res, err := fit(pointio.FromPoints(pts), StreamConfig{Config: cfg, ChunkSize: chunk}, cl,
+		func(int) (*spill.Writer, error) { return spill.NewMemWriter(), nil })
+	if err != nil {
+		return nil, err
 	}
-	n := pts.N()
+	res.Stream = nil
+	return res, nil
+}
+
+// partitionCount resolves k: cfg.NumPartitions, defaulting to the
+// cluster's virtual worker count.
+func partitionCount(cfg Config, cl *engine.Cluster) int {
 	k := cfg.NumPartitions
 	if k == 0 {
 		k = cl.Workers
 	}
-	if k < 1 {
-		k = 1
-	}
-	res := &Result{
-		Labels:          make([]int, n),
-		CorePoint:       make([]bool, n),
-		PointsProcessed: int64(n),
-	}
-	for i := range res.Labels {
-		res.Labels[i] = Noise
-	}
-	if n == 0 {
-		res.Report = cl.Report()
-		return res, nil
-	}
-
-	dim := pts.Dim
-	side := grid.Side(cfg.Eps, dim)
-	params := dict.Params{Eps: cfg.Eps, Rho: cfg.Rho, Dim: dim}
-
-	// ---- Phase I-1: pseudo random partitioning (Algorithm 2, part 1).
-	// Map: chunk the input, assign points to cells, and bucket each cell
-	// by its destination partition. Bucketing on the map side lets each
-	// reducer read only its own column of the [chunk][dest] matrix; the
-	// previous shuffle had all k reducers scan all k chunk maps and
-	// filter, touching every cell k times (O(k^2) in cells).
-	type keyedCell struct {
-		key    grid.Key
-		points []int
-	}
-	buckets := make([][][]keyedCell, k)
-	cl.RunStage("I-1", "cell-assignment", k, func(t int) {
-		lo, hi := t*n/k, (t+1)*n/k
-		m := make(map[grid.Key][]int)
-		for i := lo; i < hi; i++ {
-			key := grid.KeyFor(pts.At(i), side)
-			m[key] = append(m[key], i)
-		}
-		dest := make([][]keyedCell, k)
-		for key, idx := range m {
-			d := partitionOf(key, cfg.Seed, k)
-			dest[d] = append(dest[d], keyedCell{key: key, points: idx})
-		}
-		buckets[t] = dest
-	})
-	// Reduce (shuffle): each partition concatenates its column — the
-	// cells whose random key, a seeded hash needing no coordination,
-	// lands on it (Algorithm 2 lines 5-11).
-	parts := make([]*partState, k)
-	shuffle := cl.RunStage("I-1", "cell-partitioning", k, func(t int) {
-		mine := make(map[grid.Key][]int)
-		for _, dest := range buckets {
-			for _, kc := range dest[t] {
-				mine[kc.key] = append(mine[kc.key], kc.points...)
-			}
-		}
-		keys := make([]grid.Key, 0, len(mine))
-		for key := range mine {
-			keys = append(keys, key)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		st := &partState{cells: make([]*grid.Cell, 0, len(keys))}
-		for _, key := range keys {
-			st.cells = append(st.cells, &grid.Cell{Key: key, Points: mine[key]})
-		}
-		parts[t] = st
-	})
-	// Account the shuffle payload: every point id crosses the shuffle to
-	// its cell's partition exactly once (8 bytes per id), plus one cell
-	// key per cell.
-	for _, st := range parts {
-		for _, c := range st.cells {
-			shuffle.Bytes += int64(8*len(c.Points) + len(c.Key))
-		}
-	}
-
-	// ---- Phase I-2: cell dictionary building (Algorithm 2, part 2).
-	entriesPer := make([][]dict.CellEntry, k)
-	cl.RunStage("I-2", "dictionary-build", k, func(t int) {
-		entries := make([]dict.CellEntry, 0, len(parts[t].cells))
-		for _, c := range parts[t].cells {
-			entries = append(entries, dict.BuildEntry(c, pts, params))
-		}
-		entriesPer[t] = entries
-	})
-	var stats dict.Stats
-	payload := cl.BroadcastChecked("I-2", "dictionary-broadcast", func() []byte {
-		var all []dict.CellEntry
-		for _, e := range entriesPer {
-			all = append(all, e...)
-		}
-		stats = dict.StatsOf(all, params)
-		return dict.EncodeEntries(all, params)
-	})
-	res.DictSizeBits = stats.SizeBits
-	res.DictBytes = payload.Len()
-	res.NumCells = stats.NumCells
-	res.NumSubCells = stats.NumSubCells
-	// Each executor (worker machine) loads — decodes and indexes — the
-	// broadcast once; its tasks share the read-only copy, as on Spark.
-	numExec := cl.ExecutorCount()
-	if numExec > k {
-		numExec = k
-	}
-	dicts := make([]*dict.Dictionary, numExec)
-	loadErrs := make([]error, numExec)
-	cl.RunStage("I-2", "dictionary-load", numExec, func(t int) {
-		// Fetch transfers the broadcast through the engine's checksummed
-		// channel: under chaos, corrupted chunks are detected and
-		// re-transferred before the bytes ever reach the decoder.
-		buf, err := cl.Fetch(payload, t)
-		if err == nil {
-			dicts[t], err = dict.Decode(buf, cfg.MaxCellsPerSubDict)
-		}
-		loadErrs[t] = err
-	})
-	for _, err := range loadErrs {
-		if err != nil {
-			return nil, fmt.Errorf("rpdbscan: dictionary load: %w", err)
-		}
-	}
-
-	// ---- Phase II: core marking and subgraph building (Algorithm 3).
-	numCells := stats.NumCells
-	cl.RunStage("II", "cell-graph-construction", k, func(t int) {
-		// Tasks on one executor share its dictionary copy.
-		phase2Task(pts, cfg, parts[t], dicts[t%numExec], numCells, res.CorePoint)
-	})
-	for i := range dicts {
-		dicts[i] = nil // release the executors' dictionary copies
-	}
-
-	// ---- Phase III-1: graph merging (Algorithm 4, part 1) — the flat
-	// lock-free merge by default, the pairwise tournament under
-	// cfg.SerialMerge; see merge.go.
-	subgraphs := make([]*graph.Graph, k)
-	for i, st := range parts {
-		subgraphs[i] = st.subgraph
-	}
-	finalize := mergePhase(cl, cfg, numCells, subgraphs, res)
-
-	// ---- Phase III-2: point labeling (Algorithm 4, part 2).
-	labelPhase(cl, cfg, pts, parts, numCells, finalize, res)
-
-	res.Report = cl.Report()
-	return res, nil
+	return max(k, 1)
 }
 
-// labelPhase runs Phase III-2 — label preparation and point labeling
-// (Algorithm 4, part 2) — over the merged graph. It is driver-side code
-// shared verbatim by the in-process and multi-process Run paths: both
-// arrive here with identical parts and an identical merged graph, so the
-// labels they produce are identical by construction.
-func labelPhase(cl *engine.Cluster, cfg Config, pts *geom.Points, parts []*partState,
-	numCells int, finalize func() mergeOutcome, res *Result) {
-	var comp []int32
-	var preds map[int32][]int32
-	coreByCell := make([][]int, numCells)
-	cl.Serial("III-2", "label-preparation", func() {
-		out := finalize()
-		comp, preds = out.comp, out.preds
-		// Shuffle: gather core points of cells that precede partial
-		// edges so workers can run the exact distance checks of
-		// Lemma 3.5.
-		needed := make(map[int32]bool)
-		for _, ps := range preds {
-			for _, p := range ps {
-				needed[p] = true
-			}
+// partitionChunk is the Phase I-1 body (Algorithm 2, part 1): it assigns
+// one chunk's points — global ids base, base+1, ... — to cells and deals
+// each cell to its pseudo random partition. It returns one RPS1 frame per
+// partition, nil where the chunk has no cell for it; cells within a frame
+// are sorted by key, so the bytes never depend on map iteration order.
+func partitionChunk(chunk int, base int64, coords []float64, c *taskConf) [][]byte {
+	dim := c.Dim
+	side := grid.Side(c.Eps, dim)
+	cells := make(map[grid.Key][]int)
+	for i := 0; i < len(coords)/dim; i++ {
+		key := grid.KeyFor(coords[i*dim:(i+1)*dim], side)
+		cells[key] = append(cells[key], i)
+	}
+	dest := make([][]spill.RunCell, c.K)
+	ids, xs := make([]int64, 0, len(coords)/dim), make([]float64, 0, len(coords))
+	for key, idx := range cells {
+		i0, x0 := len(ids), len(xs)
+		for _, li := range idx {
+			ids = append(ids, base+int64(li))
+			xs = append(xs, coords[li*dim:(li+1)*dim]...)
 		}
-		for _, st := range parts {
-			for ci := range st.cells {
-				if needed[st.ids[ci]] {
-					coreByCell[st.ids[ci]] = st.corePts[ci]
-				}
-			}
+		d := partitionOf(key, c.Seed, c.K)
+		dest[d] = append(dest[d], spill.RunCell{Key: key, IDs: ids[i0:], Coords: xs[x0:]})
+	}
+	frames := make([][]byte, c.K)
+	for d, cs := range dest {
+		if len(cs) > 0 {
+			slices.SortFunc(cs, func(a, b spill.RunCell) int { return cmp.Compare(a.Key, b.Key) })
+			frames[d] = spill.EncodeRun(chunk, dim, cs)
 		}
-	})
-	cl.RunStage("III-2", "point-labeling", len(parts), func(t int) {
-		st := parts[t]
-		for ci, cell := range st.cells {
-			if st.cellCore[ci] {
-				// All points of a core cell share its component's
-				// cluster (Figure 3a, maximality).
-				cid := int(comp[st.ids[ci]])
-				for _, pi := range cell.Points {
-					res.Labels[pi] = cid
-				}
-				continue
-			}
-			pcs := preds[st.ids[ci]]
-			if len(pcs) == 0 {
-				continue // noise cell
-			}
-			for _, qi := range cell.Points {
-				qp := pts.At(qi)
-				for _, pk := range pcs {
-					if comp[pk] < 0 {
-						continue
-					}
-					found := false
-					for _, pi := range coreByCell[pk] {
-						if geom.Dist2(qp, pts.At(pi)) <= cfg.Eps*cfg.Eps {
-							res.Labels[qi] = int(comp[pk])
-							found = true
-							break
-						}
-					}
-					if found {
-						break
-					}
-				}
-			}
+	}
+	return frames
+}
+
+// buildEntries is the Phase I-2 body (Algorithm 2, part 2): one
+// partition's dictionary entries, folded run by run. The builder is
+// order-independent, so the runs need not be chunk-sorted.
+func buildEntries(runs []*spill.Run, p dict.Params) []dict.CellEntry {
+	b := dict.NewStreamBuilder(p)
+	for _, r := range runs {
+		for _, c := range r.Cells {
+			b.Add(c.Key, c.Coords)
 		}
-	})
+	}
+	return b.Entries()
+}
+
+// phase2Part is the Phase II body for one partition: it rematerialises
+// the partition's cells from its chunk-sorted runs over partition-local
+// point indices — so every cell's list is in ascending global order —
+// runs phase2Task, and maps the core points back to global ids.
+func phase2Part(runs []*spill.Run, c *taskConf, d *dict.Dictionary, numCells int) *partState {
+	frags := make(map[grid.Key][]*spill.RunCell)
+	var keys []grid.Key
+	total := 0
+	for _, r := range runs {
+		for i := range r.Cells {
+			rc := &r.Cells[i]
+			if _, ok := frags[rc.Key]; !ok {
+				keys = append(keys, rc.Key)
+			}
+			frags[rc.Key] = append(frags[rc.Key], rc)
+			total += len(rc.IDs)
+		}
+	}
+	slices.Sort(keys)
+	pts := &geom.Points{Dim: c.Dim, Coords: make([]float64, 0, total*c.Dim)}
+	gids := make([]int, 0, total)
+	cells := make([]*grid.Cell, len(keys))
+	for i, key := range keys {
+		cell := &grid.Cell{Key: key}
+		for _, f := range frags[key] {
+			for _, id := range f.IDs {
+				cell.Points = append(cell.Points, len(gids))
+				gids = append(gids, int(id))
+			}
+			pts.Coords = append(pts.Coords, f.Coords...)
+		}
+		cells[i] = cell
+	}
+	st := phase2Task(pts, c, cells, d, numCells)
+	for _, cp := range st.corePts {
+		for j, li := range cp {
+			cp[j] = gids[li]
+		}
+	}
+	return st
 }
 
 // phase2Task runs one partition's share of Phase II — core marking and
-// cell-subgraph building (Algorithm 3) — over the owned cells of st,
-// filling st.ids/cellCore/corePts/subgraph and marking core points in
-// corePoint. The hot path batches region queries at cell granularity
+// cell-subgraph building (Algorithm 3) — over its owned cells (sorted by
+// key, points indexing pts) and returns the partition's state, core points
+// as indices into pts. The hot path batches region queries at cell granularity
 // (dict.Querier.QueryCell) and evaluates the per-point residual checks
 // through the blocked SoA kernels: each cell's points are gathered once
 // into per-dimension lanes (geom.Block), CountPoints answers every point's
 // core decision candidate-by-candidate with the MinPts early exit, and
 // AppendNeighborsBlock computes the core points' neighbor-cell union
-// directly. cfg.DisableSoA selects the scalar per-point residual loops and
-// cfg.DisableBatching the per-point oracle path; all three produce
-// identical output.
-func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary, numCells int, corePoint []bool) {
+// directly. c.DisableBatching selects the per-point oracle path, which
+// produces identical output.
+func phase2Task(pts *geom.Points, c *taskConf, cells []*grid.Cell, d *dict.Dictionary, numCells int) *partState {
 	q := d.AcquireQuerier()
 	defer d.ReleaseQuerier(q)
-	q.DisableBatching = cfg.DisableBatching
-	q.DisableIndex = cfg.DisableIndex
+	q.DisableBatching = c.DisableBatching
+	q.DisableIndex = c.DisableIndex
 	g := graph.New(numCells)
-	st.ids = make([]int32, len(st.cells))
-	st.cellCore = make([]bool, len(st.cells))
-	st.corePts = make([][]int, len(st.cells))
+	st := &partState{
+		keys:     make([]grid.Key, len(cells)),
+		ids:      make([]int32, len(cells)),
+		cellCore: make([]bool, len(cells)),
+		corePts:  make([][]int, len(cells)),
+	}
 	// Scratch of the blocked path, pooled across tasks and pre-sized to the
 	// partition's largest cell so the cell loop never reallocates. The
 	// arena backs every cell's core-point list (total core points never
@@ -450,9 +325,9 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 	var counts []int64
 	var sel []bool
 	var arena []int
-	if !cfg.DisableBatching && !cfg.DisableSoA {
+	if !c.DisableBatching {
 		maxn, total := 0, 0
-		for _, cell := range st.cells {
+		for _, cell := range cells {
 			if len(cell.Points) > maxn {
 				maxn = len(cell.Points)
 			}
@@ -472,14 +347,15 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 	inNC := make([]bool, numCells)
 	ncIDs := make([]int32, 0, 64)
 	var neighborCells []int32
-	minPts := int64(cfg.MinPts)
-	for ci, cell := range st.cells {
+	minPts := int64(c.MinPts)
+	for ci, cell := range cells {
 		id, ok := d.IDOf(cell.Key)
 		if !ok {
 			// Every owned cell is non-empty, so it must be in the
 			// dictionary; reaching here means a broadcast bug.
 			panic("rpdbscan: owned cell missing from dictionary")
 		}
+		st.keys[ci] = cell.Key
 		st.ids[ci] = id
 		for _, nid := range ncIDs {
 			inNC[nid] = false
@@ -490,7 +366,6 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 				count, cellsOut := q.Query(pts.At(pi), true, neighborCells[:0])
 				neighborCells = cellsOut
 				if count >= minPts {
-					corePoint[pi] = true
 					st.cellCore[ci] = true
 					st.corePts[ci] = append(st.corePts[ci], pi)
 					for _, nid := range neighborCells {
@@ -498,34 +373,6 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 							inNC[nid] = true
 							ncIDs = append(ncIDs, nid)
 						}
-					}
-				}
-			}
-		} else if cfg.DisableSoA {
-			b := q.QueryCell(cell.Key)
-			for _, pi := range cell.Points {
-				p := pts.At(pi)
-				if b.CountPoint(p, minPts) < minPts {
-					continue
-				}
-				corePoint[pi] = true
-				st.cellCore[ci] = true
-				st.corePts[ci] = append(st.corePts[ci], pi)
-				neighborCells = b.AppendNeighbors(p, neighborCells[:0])
-				for _, nid := range neighborCells {
-					if !inNC[nid] {
-						inNC[nid] = true
-						ncIDs = append(ncIDs, nid)
-					}
-				}
-			}
-			if st.cellCore[ci] {
-				// Fully-inside candidates neighbor every point of the
-				// cell, so they join NC once, not once per core point.
-				for _, nid := range b.InsideCells() {
-					if !inNC[nid] {
-						inNC[nid] = true
-						ncIDs = append(ncIDs, nid)
 					}
 				}
 			}
@@ -551,7 +398,6 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 				start := len(arena)
 				for i, pi := range cell.Points {
 					if sel[i] {
-						corePoint[pi] = true
 						arena = append(arena, pi)
 					}
 				}
@@ -588,4 +434,5 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 		}
 	}
 	st.subgraph = g
+	return st
 }

@@ -168,7 +168,7 @@ func TestReportStagesAndPhases(t *testing.T) {
 	pts := datagen.Blobs(500, 3, 0.4, 5)
 	res := run(t, pts, Config{Eps: 0.4, MinPts: 8, Rho: 0.05, NumPartitions: 4})
 	for _, name := range []string{
-		"cell-assignment", "cell-partitioning", "dictionary-build",
+		"cell-partitioning", "dictionary-build",
 		"dictionary-broadcast", "dictionary-load",
 		"cell-graph-construction", "label-preparation", "point-labeling",
 	} {

@@ -5,132 +5,81 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"rpdbscan/internal/dict"
 	"rpdbscan/internal/engine"
-	"rpdbscan/internal/geom"
 	"rpdbscan/internal/graph"
 	"rpdbscan/internal/grid"
 	"rpdbscan/internal/spill"
 )
 
-// Worker-side task handlers for the multi-process backend. Each remote
-// stage of the proc Run path (see remote.go) executes as one of these
-// registered handlers on a worker process: the driver ships the stage
-// input over the transport, the handler computes against the worker's
-// pushed blobs (input points, run configuration, encoded dictionary), and
-// the output bytes travel back. Every handler is a deterministic pure
-// function of (blobs, task, input) — local map iteration never reaches the
-// output (cells are sorted by key before encoding) — which is what lets
-// the differential battery pin proc labels byte-identical to in-process
-// Run.
+// Worker-side task handlers for clusters with a Transport. Each remote
+// stage of the fit pipeline executes as one of these registered handlers
+// on a worker process: the handler decodes the stage input, calls the
+// same stage body the simulator calls in-process, and encodes the output.
+// Every body is a deterministic pure function of (blobs, task, input) —
+// cells are sorted by key before encoding — which is what lets the
+// differential battery pin proc labels byte-identical to in-process Run.
 
-// Blob names the driver pushes to every worker before remote stages run.
+// Blob names the driver pushes to every worker.
 const (
-	// BlobPoints is the full input point set (every worker holds a copy,
-	// as Spark executors hold their cached input split — with k random
-	// partitions over w workers, every worker ends up needing most cells).
-	BlobPoints = "points"
-	// BlobConf is the JSON-encoded run configuration.
+	// BlobConf is the JSON-encoded taskConf.
 	BlobConf = "conf"
 	// BlobDict is the RPD2-encoded cell dictionary broadcast after
 	// Phase I-2.
 	BlobDict = "dict"
 )
 
-// Remote stage handler names (registered in init).
+// Remote stage handler names (registered in init); each equals the name of
+// the stage it serves.
 const (
-	HandlerCellAssign = "cell-assignment"
-	HandlerCellPart   = "cell-partitioning"
-	HandlerDictBuild  = "dictionary-build"
-	HandlerDictLoad   = "dictionary-load"
-	HandlerPhase2     = "cell-graph-construction"
+	HandlerCellPart  = "cell-partitioning"
+	HandlerDictBuild = "dictionary-build"
+	HandlerDictLoad  = "dictionary-load"
+	HandlerPhase2    = "cell-graph-construction"
 )
 
 func init() {
-	engine.RegisterHandler(HandlerCellAssign, handleCellAssignment)
-	engine.RegisterHandler(HandlerCellPart, handleCellPartitioning)
+	engine.RegisterHandler(HandlerCellPart, handlePartitionChunk)
 	engine.RegisterHandler(HandlerDictBuild, handleDictionaryBuild)
 	engine.RegisterHandler(HandlerDictLoad, handleDictionaryLoad)
 	engine.RegisterHandler(HandlerPhase2, handlePhase2)
 }
 
-// wireConf is the configuration blob's schema: the Config fields remote
-// handlers need, frozen at push time.
-type wireConf struct {
+// taskConf is the Config subset the stage bodies read, frozen at the start
+// of a fit; worker processes receive it as the conf blob.
+type taskConf struct {
 	Eps                float64 `json:"eps"`
 	MinPts             int     `json:"min_pts"`
 	Rho                float64 `json:"rho"`
+	Dim                int     `json:"dim"`
 	K                  int     `json:"k"`
 	Seed               int64   `json:"seed"`
 	MaxCellsPerSubDict int     `json:"max_cells_per_sub_dict"`
 	DisableBatching    bool    `json:"disable_batching,omitempty"`
 	DisableIndex       bool    `json:"disable_index,omitempty"`
-	DisableSoA         bool    `json:"disable_soa,omitempty"`
 }
 
-// EncodePoints serialises a point set for the points blob: dim uint32,
-// n uint32, then n*dim big-endian float64 coordinates.
-func EncodePoints(pts *geom.Points) []byte {
-	buf := make([]byte, 8+8*len(pts.Coords))
-	binary.BigEndian.PutUint32(buf, uint32(pts.Dim))
-	binary.BigEndian.PutUint32(buf[4:], uint32(pts.N()))
-	off := 8
-	for _, v := range pts.Coords {
-		binary.BigEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-	return buf
-}
-
-// DecodePoints is the inverse of EncodePoints.
-func DecodePoints(buf []byte) (*geom.Points, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("core: truncated points blob (%d bytes)", len(buf))
-	}
-	dim := int(binary.BigEndian.Uint32(buf))
-	n := int(binary.BigEndian.Uint32(buf[4:]))
-	if dim < 1 || n < 0 || len(buf) != 8+8*n*dim {
-		return nil, fmt.Errorf("core: points blob dim=%d n=%d inconsistent with %d bytes",
-			dim, n, len(buf))
-	}
-	coords := make([]float64, n*dim)
-	off := 8
-	for i := range coords {
-		coords[i] = math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return &geom.Points{Dim: dim, Coords: coords}, nil
-}
-
-// workerPoints returns the worker's decoded copy of the points blob.
-func workerPoints(ws *engine.WorkerState) (*geom.Points, error) {
-	v, err := ws.Cached(BlobPoints, func(data []byte) (any, error) {
-		return DecodePoints(data)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*geom.Points), nil
+func (c *taskConf) params() dict.Params {
+	return dict.Params{Eps: c.Eps, Rho: c.Rho, Dim: c.Dim}
 }
 
 // workerConf returns the worker's decoded copy of the configuration blob.
-func workerConf(ws *engine.WorkerState) (*wireConf, error) {
+func workerConf(ws *engine.WorkerState) (*taskConf, error) {
 	v, err := ws.Cached(BlobConf, func(data []byte) (any, error) {
-		var c wireConf
+		var c taskConf
 		if err := json.Unmarshal(data, &c); err != nil {
 			return nil, fmt.Errorf("core: conf blob: %w", err)
 		}
-		if c.K < 1 {
-			return nil, fmt.Errorf("core: conf blob has k=%d", c.K)
+		if c.K < 1 || c.Dim < 1 {
+			return nil, fmt.Errorf("core: conf blob has k=%d dim=%d", c.K, c.Dim)
 		}
 		return &c, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*wireConf), nil
+	return v.(*taskConf), nil
 }
 
 // workerDict returns the worker's decoded-and-indexed dictionary, built at
@@ -150,143 +99,32 @@ func workerDict(ws *engine.WorkerState) (*dict.Dictionary, error) {
 	return v.(*dict.Dictionary), nil
 }
 
-// sortRunCells orders cells by key, removing any trace of map iteration
-// order before encoding.
-func sortRunCells(cells []spill.RunCell) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Key < cells[j].Key })
-}
-
-// runCellOf builds one shuffle cell record: the cell's point ids (already
-// ascending — they come from an ascending index scan) plus their raw
-// coordinates, the actual payload the paper's Phase I shuffle ships.
-func runCellOf(key grid.Key, idx []int, pts *geom.Points) spill.RunCell {
-	c := spill.RunCell{Key: key, IDs: make([]int64, len(idx)), Coords: make([]float64, 0, len(idx)*pts.Dim)}
-	for i, pi := range idx {
-		c.IDs[i] = int64(pi)
-		c.Coords = append(c.Coords, pts.At(pi)...)
-	}
-	return c
-}
-
-// handleCellAssignment is the remote map side of Phase I-1 (Algorithm 2,
-// part 1): assign the task's chunk of points to cells and deal each cell
-// to its pseudo random destination partition. The output is k RPS1 frames
-// concatenated in destination order, frame d holding this chunk's cells
-// for partition d, sorted by key.
-func handleCellAssignment(ws *engine.WorkerState, task int, _ []byte) ([]byte, error) {
-	pts, err := workerPoints(ws)
-	if err != nil {
-		return nil, err
-	}
+// handlePartitionChunk is remote Phase I-1: the input is one chunk
+// (encodeChunk), the output its partition frames (encodeFrames).
+func handlePartitionChunk(ws *engine.WorkerState, task int, input []byte) ([]byte, error) {
 	conf, err := workerConf(ws)
 	if err != nil {
 		return nil, err
 	}
-	k := conf.K
-	if task < 0 || task >= k {
-		return nil, fmt.Errorf("core: cell-assignment task %d out of range [0,%d)", task, k)
-	}
-	n := pts.N()
-	lo, hi := task*n/k, (task+1)*n/k
-	side := grid.Side(conf.Eps, pts.Dim)
-	m := make(map[grid.Key][]int)
-	for i := lo; i < hi; i++ {
-		key := grid.KeyFor(pts.At(i), side)
-		m[key] = append(m[key], i)
-	}
-	dest := make([][]spill.RunCell, k)
-	for key, idx := range m {
-		d := partitionOf(key, conf.Seed, k)
-		dest[d] = append(dest[d], runCellOf(key, idx, pts))
-	}
-	var out []byte
-	for d := 0; d < k; d++ {
-		sortRunCells(dest[d])
-		out = append(out, spill.EncodeRun(task, pts.Dim, dest[d])...)
-	}
-	return out, nil
-}
-
-// handleCellPartitioning is the remote reduce side of Phase I-1: the input
-// is the concatenation, in ascending chunk order, of every chunk's frame
-// for this partition; the output is one merged frame, cells sorted by key,
-// each cell's ids the concatenation of the chunks' ascending runs (chunk
-// index ranges are disjoint and ascending, so the merged ids are globally
-// ascending — the exact order the in-process path produces).
-func handleCellPartitioning(ws *engine.WorkerState, task int, input []byte) ([]byte, error) {
-	pts, err := workerPoints(ws)
+	base, coords, err := decodeChunk(input, conf.Dim)
 	if err != nil {
 		return nil, err
 	}
-	runs, err := spill.DecodeRuns(input)
-	if err != nil {
-		return nil, err
-	}
-	merged := make(map[grid.Key]*spill.RunCell)
-	var keys []grid.Key
-	for _, r := range runs {
-		for _, c := range r.Cells {
-			mc, ok := merged[c.Key]
-			if !ok {
-				mc = &spill.RunCell{Key: c.Key}
-				merged[c.Key] = mc
-				keys = append(keys, c.Key)
-			}
-			mc.IDs = append(mc.IDs, c.IDs...)
-			mc.Coords = append(mc.Coords, c.Coords...)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	cells := make([]spill.RunCell, 0, len(keys))
-	for _, key := range keys {
-		cells = append(cells, *merged[key])
-	}
-	return spill.EncodeRun(task, pts.Dim, cells), nil
+	return encodeFrames(partitionChunk(task, base, coords, conf)), nil
 }
 
-// partitionCells decodes one partition's merged frame into grid cells.
-func partitionCells(input []byte) ([]*grid.Cell, error) {
-	runs, err := spill.DecodeRuns(input)
-	if err != nil {
-		return nil, err
-	}
-	if len(runs) != 1 {
-		return nil, fmt.Errorf("core: partition frame holds %d runs, want 1", len(runs))
-	}
-	cells := make([]*grid.Cell, 0, len(runs[0].Cells))
-	for _, c := range runs[0].Cells {
-		idx := make([]int, len(c.IDs))
-		for i, id := range c.IDs {
-			idx[i] = int(id)
-		}
-		cells = append(cells, &grid.Cell{Key: c.Key, Points: idx})
-	}
-	return cells, nil
-}
-
-// handleDictionaryBuild is remote Phase I-2 (Algorithm 2, part 2): build
-// the partition's cell entries and return them RPD2-encoded; the driver
-// decodes and concatenates every partition's shard into the global
-// broadcast.
+// handleDictionaryBuild is remote Phase I-2: the input is one partition's
+// closed spill, the output its RPD2-encoded dictionary entries.
 func handleDictionaryBuild(ws *engine.WorkerState, _ int, input []byte) ([]byte, error) {
-	pts, err := workerPoints(ws)
-	if err != nil {
-		return nil, err
-	}
 	conf, err := workerConf(ws)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := partitionCells(input)
+	runs, err := spill.Load(input)
 	if err != nil {
 		return nil, err
 	}
-	params := dict.Params{Eps: conf.Eps, Rho: conf.Rho, Dim: pts.Dim}
-	entries := make([]dict.CellEntry, 0, len(cells))
-	for _, c := range cells {
-		entries = append(entries, dict.BuildEntry(c, pts, params))
-	}
-	return dict.EncodeEntries(entries, params), nil
+	return dict.EncodeEntries(buildEntries(runs, conf.params()), conf.params()), nil
 }
 
 // handleDictionaryLoad decodes and indexes the pushed dictionary blob on
@@ -307,20 +145,14 @@ func handleDictionaryLoad(ws *engine.WorkerState, _ int, _ []byte) ([]byte, erro
 	return ack, nil
 }
 
-// handlePhase2 is remote Phase II (Algorithm 3): run phase2Task over the
-// partition's cells against the worker's dictionary copy. Input is a
-// uint32 global cell count followed by the partition's merged frame;
-// output is the phase-2 result record (ids, core flags, core-point lists,
-// encoded subgraph) of encodePhase2Result.
+// handlePhase2 is remote Phase II: the input is a uint32 global cell count
+// followed by one partition's closed spill, the output the partition's
+// state (encodePhase2Result).
 func handlePhase2(ws *engine.WorkerState, _ int, input []byte) ([]byte, error) {
 	if len(input) < 4 {
 		return nil, fmt.Errorf("core: phase-2 input truncated (%d bytes)", len(input))
 	}
 	numCells := int(binary.BigEndian.Uint32(input))
-	pts, err := workerPoints(ws)
-	if err != nil {
-		return nil, err
-	}
 	conf, err := workerConf(ws)
 	if err != nil {
 		return nil, err
@@ -329,37 +161,79 @@ func handlePhase2(ws *engine.WorkerState, _ int, input []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells, err := partitionCells(input[4:])
+	runs, err := spill.Load(input[4:])
 	if err != nil {
 		return nil, err
 	}
-	cfg := Config{
-		Eps: conf.Eps, MinPts: conf.MinPts, Rho: conf.Rho,
-		DisableBatching: conf.DisableBatching,
-		DisableIndex:    conf.DisableIndex,
-		DisableSoA:      conf.DisableSoA,
-	}
-	st := &partState{cells: cells}
-	corePoint := make([]bool, pts.N())
-	phase2Task(pts, cfg, st, d, numCells, corePoint)
-	return encodePhase2Result(st), nil
+	return encodePhase2Result(phase2Part(runs, conf, d, numCells)), nil
 }
 
-// encodePhase2Result serialises one partition's Phase II output: per owned
-// cell its dense dictionary id, core flag, and core-point indices, then
-// the length-prefixed encoded subgraph. The core-point lists double as the
-// global core flags: a point is core iff it appears in its owning cell's
-// list.
-func encodePhase2Result(st *partState) []byte {
-	size := 4
-	for ci := range st.cells {
-		size += 4 + 1 + 4 + 4*len(st.corePts[ci])
+// encodeChunk serialises one Phase I-1 chunk: the global id of its first
+// point, then its coordinates, all big-endian.
+func encodeChunk(base int64, coords []float64) []byte {
+	buf := make([]byte, 8, 8+8*len(coords))
+	binary.BigEndian.PutUint64(buf, uint64(base))
+	for _, v := range coords {
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	g := st.subgraph.Encode()
-	size += 4 + len(g)
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.cells)))
-	for ci := range st.cells {
+	return buf
+}
+
+// decodeChunk is the inverse of encodeChunk.
+func decodeChunk(buf []byte, dim int) (int64, []float64, error) {
+	if len(buf) < 8 || (len(buf)-8)%(8*dim) != 0 {
+		return 0, nil, fmt.Errorf("core: chunk of %d bytes is not whole %d-d points", len(buf), dim)
+	}
+	coords := make([]float64, (len(buf)-8)/8)
+	for i := range coords {
+		coords[i] = math.Float64frombits(binary.BigEndian.Uint64(buf[8+8*i:]))
+	}
+	return int64(binary.BigEndian.Uint64(buf)), coords, nil
+}
+
+// encodeFrames concatenates a chunk's non-nil partition frames, each
+// prefixed with its uint32 destination partition.
+func encodeFrames(frames [][]byte) []byte {
+	var out []byte
+	for d, f := range frames {
+		if f != nil {
+			out = binary.BigEndian.AppendUint32(out, uint32(d))
+			out = append(out, f...)
+		}
+	}
+	return out
+}
+
+// decodeFrames splits an encodeFrames output back into k destination
+// frames. The frames are only delimited here; spill.Load verifies them.
+func decodeFrames(buf []byte, k int) ([][]byte, error) {
+	frames := make([][]byte, k)
+	for len(buf) > 0 {
+		if len(buf) < 4 {
+			return nil, fmt.Errorf("core: truncated frame destination")
+		}
+		d := int(binary.BigEndian.Uint32(buf))
+		sz, err := spill.FrameSize(buf[4:])
+		if err != nil {
+			return nil, err
+		}
+		if d >= k || frames[d] != nil {
+			return nil, fmt.Errorf("core: frame for partition %d is out of range or repeated", d)
+		}
+		frames[d] = buf[4 : 4+sz]
+		buf = buf[4+sz:]
+	}
+	return frames, nil
+}
+
+// encodePhase2Result serialises one partition's Phase II state: per owned
+// cell its key, dense dictionary id, core flag and core points (global
+// ids), then the length-prefixed encoded subgraph.
+func encodePhase2Result(st *partState) []byte {
+	var buf []byte
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.keys)))
+	for ci, key := range st.keys {
+		buf = append(buf, key...)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(st.ids[ci]))
 		if st.cellCore[ci] {
 			buf = append(buf, 1)
@@ -371,14 +245,14 @@ func encodePhase2Result(st *partState) []byte {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(pi))
 		}
 	}
+	g := st.subgraph.Encode()
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(g)))
-	buf = append(buf, g...)
-	return buf
+	return append(buf, g...)
 }
 
-// decodePhase2Result fills st (whose cells are already decoded) from a
-// phase-2 result record, marking core points in corePoint.
-func decodePhase2Result(buf []byte, st *partState, n int, corePoint []bool) error {
+// decodePhase2Result is the inverse of encodePhase2Result for dim-d keys,
+// rejecting core points outside [0, n).
+func decodePhase2Result(buf []byte, dim, n int) (*partState, error) {
 	off := 0
 	need := func(want int) error {
 		if len(buf)-off < want {
@@ -387,21 +261,26 @@ func decodePhase2Result(buf []byte, st *partState, n int, corePoint []bool) erro
 		return nil
 	}
 	if err := need(4); err != nil {
-		return err
+		return nil, err
 	}
 	numOwned := int(binary.BigEndian.Uint32(buf[off:]))
 	off += 4
-	if numOwned != len(st.cells) {
-		return fmt.Errorf("core: phase-2 result covers %d cells, partition owns %d",
-			numOwned, len(st.cells))
+	keyLen := 4 * dim
+	if err := need(numOwned * (keyLen + 9)); err != nil {
+		return nil, err
 	}
-	st.ids = make([]int32, numOwned)
-	st.cellCore = make([]bool, numOwned)
-	st.corePts = make([][]int, numOwned)
+	st := &partState{
+		keys:     make([]grid.Key, numOwned),
+		ids:      make([]int32, numOwned),
+		cellCore: make([]bool, numOwned),
+		corePts:  make([][]int, numOwned),
+	}
 	for ci := 0; ci < numOwned; ci++ {
-		if err := need(9); err != nil {
-			return err
+		if err := need(keyLen + 9); err != nil {
+			return nil, err
 		}
+		st.keys[ci] = grid.Key(buf[off : off+keyLen])
+		off += keyLen
 		st.ids[ci] = int32(binary.BigEndian.Uint32(buf[off:]))
 		off += 4
 		switch buf[off] {
@@ -409,13 +288,13 @@ func decodePhase2Result(buf []byte, st *partState, n int, corePoint []bool) erro
 		case 1:
 			st.cellCore[ci] = true
 		default:
-			return fmt.Errorf("core: phase-2 result cell %d has core flag %d", ci, buf[off])
+			return nil, fmt.Errorf("core: phase-2 result cell %d has core flag %d", ci, buf[off])
 		}
 		off++
 		npts := int(binary.BigEndian.Uint32(buf[off:]))
 		off += 4
 		if err := need(4 * npts); err != nil {
-			return err
+			return nil, err
 		}
 		if npts > 0 {
 			ids := make([]int, npts)
@@ -423,30 +302,28 @@ func decodePhase2Result(buf []byte, st *partState, n int, corePoint []bool) erro
 				pi := int(binary.BigEndian.Uint32(buf[off:]))
 				off += 4
 				if pi < 0 || pi >= n {
-					return fmt.Errorf("core: phase-2 result core point %d out of range [0,%d)", pi, n)
+					return nil, fmt.Errorf("core: phase-2 result core point %d out of range [0,%d)", pi, n)
 				}
 				ids[i] = pi
-				corePoint[pi] = true
 			}
 			st.corePts[ci] = ids
 		}
 	}
 	if err := need(4); err != nil {
-		return err
+		return nil, err
 	}
 	glen := int(binary.BigEndian.Uint32(buf[off:]))
 	off += 4
 	if err := need(glen); err != nil {
-		return err
+		return nil, err
 	}
 	g, err := graph.Decode(buf[off : off+glen])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	off += glen
-	if off != len(buf) {
-		return fmt.Errorf("core: phase-2 result has %d trailing bytes", len(buf)-off)
+	if off+glen != len(buf) {
+		return nil, fmt.Errorf("core: phase-2 result has %d trailing bytes", len(buf)-off-glen)
 	}
 	st.subgraph = g
-	return nil
+	return st, nil
 }

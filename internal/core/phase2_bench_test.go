@@ -2,9 +2,9 @@ package core
 
 // BenchmarkPhaseII times cell-graph construction only (Algorithm 3):
 // partitioning and the dictionary are built once in setup, and each
-// iteration replays every partition's phase2Task. The blocked/batched/
-// per-point triple quantifies the SoA-kernel and cell-batching speedups on
-// the skewed synthetic workload; cmd/rpbench's phase2 experiment reports
+// iteration replays every partition's phase2Task. The blocked/per-point
+// pair quantifies the SoA-kernel cell-batching speedup on the skewed
+// synthetic workload; cmd/rpbench's phase2 experiment reports
 // the same contrast from the engine's stage accounting, and CI compares
 // the blocked mode's ns/op against the checked-in BENCH_baseline.json.
 
@@ -20,11 +20,10 @@ import (
 
 type phase2Fixture struct {
 	pts      *geom.Points
-	cfg      Config
-	parts    []*partState
+	conf     taskConf
+	parts    [][]*grid.Cell
 	d        *dict.Dictionary
 	numCells int
-	core     []bool
 }
 
 // newPhase2Fixture replays Phase I serially: cell assignment, pseudo
@@ -47,37 +46,34 @@ func newPhase2Fixture(b *testing.B, n, k int) *phase2Fixture {
 		p := partitionOf(key, cfg.Seed, k)
 		perPart[p] = append(perPart[p], key)
 	}
-	parts := make([]*partState, k)
+	parts := make([][]*grid.Cell, k)
 	var entries []dict.CellEntry
 	for t, keys := range perPart {
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		st := &partState{cells: make([]*grid.Cell, 0, len(keys))}
 		for _, key := range keys {
 			c := &grid.Cell{Key: key, Points: byKey[key]}
-			st.cells = append(st.cells, c)
+			parts[t] = append(parts[t], c)
 			entries = append(entries, dict.BuildEntry(c, pts, params))
 		}
-		parts[t] = st
 	}
 	d, err := dict.Decode(dict.EncodeEntries(entries, params), cfg.MaxCellsPerSubDict)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return &phase2Fixture{
-		pts: pts, cfg: cfg, parts: parts, d: d,
-		numCells: len(entries), core: make([]bool, pts.N()),
+		pts:      pts,
+		conf:     taskConf{Eps: cfg.Eps, MinPts: cfg.MinPts, Rho: cfg.Rho, Dim: pts.Dim, K: k},
+		parts:    parts,
+		d:        d,
+		numCells: len(entries),
 	}
 }
 
-func (f *phase2Fixture) run(disableSoA, disableBatching bool) {
-	cfg := f.cfg
-	cfg.DisableSoA = disableSoA
-	cfg.DisableBatching = disableBatching
-	for i := range f.core {
-		f.core[i] = false
-	}
-	for _, st := range f.parts {
-		phase2Task(f.pts, cfg, st, f.d, f.numCells, f.core)
+func (f *phase2Fixture) run(disableBatching bool) {
+	conf := f.conf
+	conf.DisableBatching = disableBatching
+	for _, cells := range f.parts {
+		phase2Task(f.pts, &conf, cells, f.d, f.numCells)
 	}
 }
 
@@ -85,18 +81,16 @@ func BenchmarkPhaseII(b *testing.B) {
 	f := newPhase2Fixture(b, 20000, 40)
 	for _, mode := range []struct {
 		name            string
-		disableSoA      bool
 		disableBatching bool
 	}{
 		{name: "blocked"},
-		{name: "batched", disableSoA: true},
 		{name: "per-point", disableBatching: true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.run(mode.disableSoA, mode.disableBatching)
+				f.run(mode.disableBatching)
 			}
 			sec := b.Elapsed().Seconds()
 			if sec > 0 {

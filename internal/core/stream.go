@@ -1,12 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"rpdbscan/internal/dict"
@@ -50,29 +51,18 @@ type StreamStats struct {
 	// SpillBytes is the total run-record payload written across all
 	// partition spill files.
 	SpillBytes int64
-	// SpillReloads counts spill-file scans after the initial write: the
-	// dictionary build, the Phase II rematerialisation, and the core-point
-	// gather each re-read partitions from disk instead of holding them in
-	// memory.
+	// SpillReloads counts partition reads after the initial write: the
+	// dictionary build, Phase II, the core-point gather and the point
+	// labeling each re-read partitions instead of holding them decoded.
 	SpillReloads int64
 }
 
 // RunStream executes RP-DBSCAN over a single-pass point stream, producing
 // output byte-identical to Run on the same points — the differential test
-// battery asserts exactly that. The pipeline differs only in where data
-// lives:
-//
-//   - Phase I-1 ingests bounded chunks and shuffles them map-side to k
-//     checksummed spill files (one per partition), so peak memory during
-//     ingestion is proportional to ChunkSize * parallelism, never N.
-//   - Phase I-2 builds each partition's dictionary entries by scanning its
-//     spill file one run at a time through dict.StreamBuilder.
-//   - Phase II rematerialises one partition at a time from its spill file,
-//     runs the unchanged phase2Task on partition-local points, then keeps
-//     only what Phase III needs (cell membership, core-point ids, non-core
-//     cell coordinates) and releases the rest.
-//   - Phase III-2 re-reads core-point coordinates of predecessor cells from
-//     the spill files instead of holding all coordinates resident.
+// battery asserts exactly that. It is the same pipeline with the
+// partitions spilled to checksummed files under a temporary directory, so
+// peak Phase I memory is proportional to ChunkSize * parallelism, never N,
+// and later phases hold one decoded partition per running task.
 //
 // Determinism: chunk indices are assigned by the serial reader, each spill
 // writer deduplicates appends by chunk (engine retries and speculative
@@ -83,6 +73,23 @@ func RunStream(src pointio.Source, cfg StreamConfig, cl *engine.Cluster) (*Resul
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	dir, err := os.MkdirTemp(cfg.SpillDir, "rpdbscan-spill-*")
+	if err != nil {
+		return nil, fmt.Errorf("rpdbscan: spill dir: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	return fit(src, cfg, cl, func(t int) (*spill.Writer, error) {
+		return spill.NewWriter(filepath.Join(dir, fmt.Sprintf("part-%03d.spill", t)))
+	})
+}
+
+// fit is the one RP-DBSCAN pipeline (Algorithm 1). newPart opens the
+// store of each of the k partitions: memory for Run, a spill file for
+// RunStream. Stage bodies run in-process on the simulator; when the
+// cluster has a Transport, Phase I-1, I-2 and II run as registered
+// handlers on its worker processes, fed the same RPS1 frames, while
+// Phase III stays on the driver as in the paper's architecture.
+func fit(src pointio.Source, cfg StreamConfig, cl *engine.Cluster, newPart func(t int) (*spill.Writer, error)) (*Result, error) {
 	dim := src.Dim()
 	if dim < 1 {
 		return nil, fmt.Errorf("rpdbscan: source dimension must be >= 1, got %d", dim)
@@ -95,46 +102,49 @@ func RunStream(src pointio.Source, cfg StreamConfig, cl *engine.Cluster) (*Resul
 	if probe == nil {
 		probe = func(string) {}
 	}
-	k := cfg.NumPartitions
-	if k == 0 {
-		k = cl.Workers
+	k := partitionCount(cfg.Config, cl)
+	conf := &taskConf{
+		Eps: cfg.Eps, MinPts: cfg.MinPts, Rho: cfg.Rho, Dim: dim,
+		K: k, Seed: cfg.Seed, MaxCellsPerSubDict: cfg.MaxCellsPerSubDict,
+		DisableBatching: cfg.DisableBatching,
+		DisableIndex:    cfg.DisableIndex,
 	}
-	if k < 1 {
-		k = 1
-	}
-	side := grid.Side(cfg.Eps, dim)
-	params := dict.Params{Eps: cfg.Eps, Rho: cfg.Rho, Dim: dim}
-
-	spillDir, err := os.MkdirTemp(cfg.SpillDir, "rpdbscan-spill-*")
-	if err != nil {
-		return nil, fmt.Errorf("rpdbscan: spill dir: %w", err)
-	}
-	defer os.RemoveAll(spillDir)
-	writers := make([]*spill.Writer, k)
-	paths := make([]string, k)
-	for t := range writers {
-		paths[t] = filepath.Join(spillDir, fmt.Sprintf("part-%03d.spill", t))
-		if writers[t], err = spill.NewWriter(paths[t]); err != nil {
-			return nil, fmt.Errorf("rpdbscan: spill writer: %w", err)
-		}
-	}
+	store := make([]*spill.Writer, k)
+	sealed := false
 	defer func() {
-		for _, w := range writers {
-			if w != nil {
+		for _, w := range store {
+			if w != nil && !sealed {
 				w.Close()
 			}
 		}
 	}()
+	for t := range store {
+		var err error
+		if store[t], err = newPart(t); err != nil {
+			return nil, fmt.Errorf("rpdbscan: spill writer: %w", err)
+		}
+	}
+	tr := cl.Transport
+	if tr != nil {
+		// ---- Phase I-0: ship the task configuration to every worker
+		// process (the broadcast variables of the Spark deployment).
+		b, err := json.Marshal(conf)
+		if err != nil {
+			return nil, fmt.Errorf("rpdbscan: encode conf: %w", err)
+		}
+		cl.PushStage("I-0", "config-push", BlobConf, engine.NewPayload("I-0", "config-push", b))
+	}
 
-	// ---- Phase I-1: streamed pseudo random partitioning. The serial pull
-	// reads one chunk into a fresh buffer (retries and speculative copies
-	// may re-run a body after later chunks started, so buffers are never
-	// shared) and assigns the chunk's contiguous global index range; the
-	// concurrent body maps points to cells, deals cells to partitions, and
-	// appends one run per touched partition. AppendRun deduplicates by
-	// chunk, making the body idempotent as the engine requires.
+	// ---- Phase I-1: pseudo random partitioning (Algorithm 2, part 1).
+	// The serial pull reads one chunk into a fresh buffer (retries and
+	// speculative copies may re-run a body after later chunks started, so
+	// buffers are never shared) and assigns the chunk's contiguous global
+	// index range; the concurrent body deals the chunk's cells to
+	// partitions and appends one frame per touched partition. AppendFrame
+	// deduplicates by chunk, making the body idempotent as the engine
+	// requires.
 	var nPoints int64 // owned by the serial pull
-	streamStage, serr := cl.StreamStage("I-1", "stream-spill", func(task int) (func(), error) {
+	partStage, err := cl.StreamStage("I-1", "cell-partitioning", func(task int) (func(int), error) {
 		buf := make([]float64, chunkSize*dim)
 		m, err := src.Next(buf)
 		if err == io.EOF {
@@ -147,62 +157,52 @@ func RunStream(src pointio.Source, cfg StreamConfig, cl *engine.Cluster) (*Resul
 		nPoints += int64(m)
 		obs.Histograms.StreamChunkPoints.Record(int64(m))
 		probe("chunk")
-		return func() {
-			cells := make(map[grid.Key][]int)
-			for i := 0; i < m; i++ {
-				key := grid.KeyFor(buf[i*dim:(i+1)*dim], side)
-				cells[key] = append(cells[key], i)
-			}
-			dest := make([][]spill.RunCell, k)
-			for key, idx := range cells {
-				rc := spill.RunCell{
-					Key:    key,
-					IDs:    make([]int64, len(idx)),
-					Coords: make([]float64, 0, len(idx)*dim),
+		coords := buf[:m*dim]
+		return func(attempt int) {
+			var frames [][]byte
+			if tr == nil {
+				frames = partitionChunk(task, base, coords, conf)
+			} else {
+				out := invoke(cl, HandlerCellPart, task, attempt, encodeChunk(base, coords))
+				var err error
+				if frames, err = decodeFrames(out, k); err != nil {
+					panic(err)
 				}
-				for j, li := range idx {
-					rc.IDs[j] = base + int64(li)
-					rc.Coords = append(rc.Coords, buf[li*dim:(li+1)*dim]...)
-				}
-				d := partitionOf(key, cfg.Seed, k)
-				dest[d] = append(dest[d], rc)
 			}
-			for d, cs := range dest {
-				if len(cs) == 0 {
+			for d, f := range frames {
+				if f == nil {
 					continue
 				}
-				// Deterministic record bytes regardless of map order.
-				sort.Slice(cs, func(i, j int) bool { return cs[i].Key < cs[j].Key })
-				if _, err := writers[d].AppendRun(task, dim, cs); err != nil {
+				if _, err := store[d].AppendFrame(task, f); err != nil {
 					// Surfaces through the engine retry budget as an error.
 					panic(err)
 				}
 			}
 		}, nil
 	})
-	if serr != nil {
-		return nil, serr
+	if err != nil {
+		return nil, err
 	}
-	n := int(nPoints)
+	sealed = true
 	var spillBytes int64
-	for t, w := range writers {
+	for t, w := range store {
 		spillBytes += w.Bytes()
-		writers[t] = nil
-		if cerr := w.Close(); cerr != nil {
-			return nil, fmt.Errorf("rpdbscan: close spill %d: %w", t, cerr)
+		if cerr := w.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("rpdbscan: close spill %d: %w", t, cerr)
 		}
 	}
-	streamStage.Bytes = spillBytes
+	if err != nil {
+		return nil, err
+	}
+	partStage.Bytes = spillBytes
 	probe("spill-closed")
 
+	n := int(nPoints)
 	res := &Result{
 		Labels:          make([]int, n),
 		CorePoint:       make([]bool, n),
 		PointsProcessed: nPoints,
-		Stream: &StreamStats{
-			Chunks:     len(streamStage.Costs),
-			SpillBytes: spillBytes,
-		},
+		Stream:          &StreamStats{Chunks: len(partStage.Costs), SpillBytes: spillBytes},
 	}
 	for i := range res.Labels {
 		res.Labels[i] = Noise
@@ -211,36 +211,41 @@ func RunStream(src pointio.Source, cfg StreamConfig, cl *engine.Cluster) (*Resul
 		res.Report = cl.Report()
 		return res, nil
 	}
+	// Every later phase re-reads partitions from the store.
 	var reloads atomic.Int64
+	contents := func(t int) ([]byte, error) {
+		data, err := store[t].Contents()
+		if err == nil {
+			reloads.Add(1)
+		}
+		return data, err
+	}
+	runsOf := func(t int) ([]*spill.Run, error) {
+		data, err := contents(t)
+		if err != nil {
+			return nil, err
+		}
+		return spill.Load(data)
+	}
 
-	// ---- Phase I-2: dictionary building from the spill files. Each task
-	// streams its partition's runs one record at a time into the
-	// order-independent StreamBuilder; only the cell summaries — never the
-	// partition's points — are resident.
+	// ---- Phase I-2: cell dictionary building (Algorithm 2, part 2).
+	params := conf.params()
 	entriesPer := make([][]dict.CellEntry, k)
-	buildErrs := make([]error, k)
-	cl.RunStage("I-2", "dictionary-build", k, func(t int) {
-		b := dict.NewStreamBuilder(params)
-		err := spill.ScanRuns(paths[t], func(r *spill.Run) error {
-			if r.Dim != dim {
-				return fmt.Errorf("rpdbscan: spill run dim %d, want %d", r.Dim, dim)
+	if err := runStage(cl, "I-2", "dictionary-build", k, func(t, attempt int) error {
+		if tr == nil {
+			runs, err := runsOf(t)
+			if err == nil {
+				entriesPer[t] = buildEntries(runs, params)
 			}
-			for _, c := range r.Cells {
-				b.Add(c.Key, c.Coords)
-			}
-			return nil
-		})
-		if err != nil {
-			buildErrs[t] = err
-			return
+			return err
 		}
-		reloads.Add(1)
-		entriesPer[t] = b.Entries()
-	})
-	for _, err := range buildErrs {
-		if err != nil {
-			return nil, fmt.Errorf("rpdbscan: dictionary build: %w", err)
+		data, err := contents(t)
+		if err == nil {
+			entriesPer[t], _, err = dict.DecodeEntries(invoke(cl, HandlerDictBuild, t, attempt, data))
 		}
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	probe("dict-built")
 	var stats dict.Stats
@@ -256,225 +261,211 @@ func RunStream(src pointio.Source, cfg StreamConfig, cl *engine.Cluster) (*Resul
 	res.DictBytes = payload.Len()
 	res.NumCells = stats.NumCells
 	res.NumSubCells = stats.NumSubCells
-	numExec := cl.ExecutorCount()
-	if numExec > k {
-		numExec = k
-	}
-	dicts := make([]*dict.Dictionary, numExec)
-	loadErrs := make([]error, numExec)
-	cl.RunStage("I-2", "dictionary-load", numExec, func(t int) {
-		buf, err := cl.Fetch(payload, t)
-		if err == nil {
-			dicts[t], err = dict.Decode(buf, cfg.MaxCellsPerSubDict)
+	numCells := stats.NumCells
+	var dicts []*dict.Dictionary
+	if tr == nil {
+		// Each executor (worker machine) loads — decodes and indexes — the
+		// broadcast once; its tasks share the read-only copy, as on Spark.
+		// Fetch transfers it through the engine's checksummed channel:
+		// under chaos, corrupted chunks are detected and re-transferred
+		// before the bytes ever reach the decoder.
+		dicts = make([]*dict.Dictionary, min(cl.ExecutorCount(), k))
+		if err := runStage(cl, "I-2", "dictionary-load", len(dicts), func(t, _ int) error {
+			buf, err := cl.Fetch(payload, t)
+			if err == nil {
+				dicts[t], err = dict.Decode(buf, cfg.MaxCellsPerSubDict)
+			}
+			return err
+		}); err != nil {
+			return nil, err
 		}
-		loadErrs[t] = err
-	})
-	for _, err := range loadErrs {
-		if err != nil {
-			return nil, fmt.Errorf("rpdbscan: dictionary load: %w", err)
+	} else {
+		// Every worker process is an executor: the dictionary is pushed
+		// once per worker through the per-chunk-checksummed channel, then
+		// loaded once per worker, which acks its cell count.
+		cl.PushStage("I-2", "dictionary-push", BlobDict, payload)
+		acks, _ := cl.RunStageRemote("I-2", "dictionary-load", HandlerDictLoad, make([][]byte, tr.Workers()))
+		for w, ack := range acks {
+			if len(ack) != 8 || binary.BigEndian.Uint64(ack) != uint64(numCells) {
+				return nil, fmt.Errorf("rpdbscan: worker %d dictionary-load ack %x does not confirm %d cells", w, ack, numCells)
+			}
 		}
 	}
 	probe("dict-loaded")
 
-	// ---- Phase II: core marking and subgraph building, one rematerialised
-	// partition at a time. Each task reloads its spill file, rebuilds the
-	// partition's cells over partition-local point indices (runs arrive
-	// chunk-sorted, so per-cell lists are in ascending global order exactly
-	// as Run builds them), and hands the unchanged phase2Task a local point
-	// set. Afterwards it keeps only what Phase III needs — global cell
-	// membership, core-point ids, and the coordinates of non-core cells —
-	// and lets the partition's point set go.
-	numCells := stats.NumCells
+	// ---- Phase II: core marking and subgraph building (Algorithm 3), one
+	// rematerialised partition per task.
 	parts := make([]*partState, k)
-	noncoreCoords := make([][][]float64, k)
-	phase2Errs := make([]error, k)
-	cl.RunStage("II", "cell-graph-construction", k, func(t int) {
-		runs, err := spill.LoadFile(paths[t])
-		if err != nil {
-			phase2Errs[t] = err
-			return
-		}
-		reloads.Add(1)
-		frags := make(map[grid.Key][]*spill.RunCell)
-		var keys []grid.Key
-		total := 0
-		for _, r := range runs {
-			for i := range r.Cells {
-				c := &r.Cells[i]
-				if _, ok := frags[c.Key]; !ok {
-					keys = append(keys, c.Key)
-				}
-				frags[c.Key] = append(frags[c.Key], c)
-				total += len(c.IDs)
+	if err := runStage(cl, "II", "cell-graph-construction", k, func(t, attempt int) error {
+		var st *partState
+		if tr == nil {
+			runs, err := runsOf(t)
+			if err != nil {
+				return err
+			}
+			// Tasks on one executor share its dictionary copy.
+			st = phase2Part(runs, conf, dicts[t%len(dicts)], numCells)
+		} else {
+			data, err := contents(t)
+			if err != nil {
+				return err
+			}
+			in := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(data)), uint32(numCells))
+			if st, err = decodePhase2Result(invoke(cl, HandlerPhase2, t, attempt, append(in, data...)), dim, n); err != nil {
+				return err
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		pts := &geom.Points{Dim: dim, Coords: make([]float64, 0, total*dim)}
-		gids := make([]int, 0, total)
-		st := &partState{cells: make([]*grid.Cell, 0, len(keys))}
-		for _, key := range keys {
-			cell := &grid.Cell{Key: key}
-			for _, f := range frags[key] {
-				for _, id := range f.IDs {
-					cell.Points = append(cell.Points, len(gids))
-					gids = append(gids, int(id))
-				}
-				pts.Coords = append(pts.Coords, f.Coords...)
-			}
-			st.cells = append(st.cells, cell)
-		}
-		localCore := make([]bool, len(gids))
-		phase2Task(pts, cfg.Config, st, dicts[t%numExec], numCells, localCore)
-		nc := make([][]float64, len(st.cells))
-		for ci, cell := range st.cells {
-			if st.cellCore[ci] {
-				continue
-			}
-			flat := make([]float64, 0, len(cell.Points)*dim)
-			for _, li := range cell.Points {
-				flat = append(flat, pts.At(li)...)
-			}
-			nc[ci] = flat
-		}
-		noncoreCoords[t] = nc
-		for _, cell := range st.cells {
-			for j, li := range cell.Points {
-				cell.Points[j] = gids[li]
-			}
-		}
-		for ci := range st.corePts {
-			for j, li := range st.corePts[ci] {
-				st.corePts[ci][j] = gids[li]
-			}
-		}
-		for li, c := range localCore {
-			if c {
-				res.CorePoint[gids[li]] = true
+		for _, cp := range st.corePts {
+			for _, g := range cp {
+				res.CorePoint[g] = true
 			}
 		}
 		parts[t] = st
-	})
-	for _, err := range phase2Errs {
-		if err != nil {
-			return nil, fmt.Errorf("rpdbscan: phase II reload: %w", err)
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	for i := range dicts {
-		dicts[i] = nil // release the executors' dictionary copies
-	}
+	dicts = nil // release the executors' dictionary copies
 	probe("phase2")
 
-	// ---- Phase III-1: graph merging, identical to Run (flat lock-free by
-	// default, tournament under cfg.SerialMerge; see merge.go).
+	// ---- Phase III-1: graph merging (Algorithm 4, part 1) — the flat
+	// lock-free merge by default, the pairwise tournament under
+	// cfg.SerialMerge; see merge.go.
 	subgraphs := make([]*graph.Graph, k)
 	for i, st := range parts {
 		subgraphs[i] = st.subgraph
 	}
 	finalize := mergePhase(cl, cfg.Config, numCells, subgraphs, res)
 
-	// ---- Phase III-2: point labeling. Coordinates of predecessor cells'
-	// core points were released with the partition point sets, so a gather
-	// stage re-reads them from the spill files first — only partitions
-	// owning a needed cell pay a reload.
-	var comp []int32
-	var preds map[int32][]int32
+	// ---- Phase III-2: point labeling (Algorithm 4, part 2). The exact
+	// distance checks of Lemma 3.5 need the core points of cells that
+	// precede partial edges; a gather stage re-reads their coordinates
+	// first, and only partitions owning such a cell pay a reload.
+	var merged mergeOutcome
 	needed := make(map[int32]bool)
 	cl.Serial("III-2", "label-preparation", func() {
-		out := finalize()
-		comp, preds = out.comp, out.preds
-		for _, ps := range preds {
+		merged = finalize()
+		for _, ps := range merged.preds {
 			for _, p := range ps {
 				needed[p] = true
 			}
 		}
 	})
 	coreCoords := make([][]float64, numCells)
-	gatherErrs := make([]error, k)
-	cl.RunStage("III-2", "core-point-gather", k, func(t int) {
+	if err := runStage(cl, "III-2", "core-point-gather", k, func(t, _ int) error {
 		st := parts[t]
-		type target struct {
-			slot int32
-			core []int // ascending global ids of the cell's core points
-		}
-		want := make(map[grid.Key]target)
-		for ci, cell := range st.cells {
-			if id := st.ids[ci]; needed[id] && st.cellCore[ci] {
-				want[cell.Key] = target{slot: id, core: st.corePts[ci]}
+		want := make(map[grid.Key]int)
+		for ci, key := range st.keys {
+			if st.cellCore[ci] && needed[st.ids[ci]] {
+				want[key] = ci
+				coreCoords[st.ids[ci]] = make([]float64, 0, len(st.corePts[ci])*dim)
 			}
 		}
 		if len(want) == 0 {
-			return // no reload: this partition owns no predecessor cell
+			return nil
 		}
-		for _, tg := range want {
-			coreCoords[tg.slot] = make([]float64, 0, len(tg.core)*dim)
+		runs, err := runsOf(t)
+		if err != nil {
+			return err
 		}
-		err := spill.ScanRuns(paths[t], func(r *spill.Run) error {
-			for i := range r.Cells {
-				c := &r.Cells[i]
-				tg, ok := want[c.Key]
+		for _, r := range runs {
+			for _, c := range r.Cells {
+				ci, ok := want[c.Key]
 				if !ok {
 					continue
 				}
+				slot := st.ids[ci]
 				for j, id := range c.IDs {
-					if _, found := slices.BinarySearch(tg.core, int(id)); found {
-						coreCoords[tg.slot] = append(coreCoords[tg.slot], c.Coords[j*dim:(j+1)*dim]...)
+					if _, found := slices.BinarySearch(st.corePts[ci], int(id)); found {
+						coreCoords[slot] = append(coreCoords[slot], c.Coords[j*dim:(j+1)*dim]...)
 					}
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			gatherErrs[t] = err
-			return
 		}
-		reloads.Add(1)
-	})
-	for _, err := range gatherErrs {
-		if err != nil {
-			return nil, fmt.Errorf("rpdbscan: core-point gather: %w", err)
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	cl.RunStage("III-2", "point-labeling", k, func(t int) {
-		st := parts[t]
-		eps2 := cfg.Eps * cfg.Eps
-		for ci, cell := range st.cells {
-			if st.cellCore[ci] {
-				cid := int(comp[st.ids[ci]])
-				for _, gi := range cell.Points {
-					res.Labels[gi] = cid
-				}
-				continue
-			}
-			pcs := preds[st.ids[ci]]
-			if len(pcs) == 0 {
-				continue // noise cell
-			}
-			flat := noncoreCoords[t][ci]
-			for j, gi := range cell.Points {
-				qp := flat[j*dim : (j+1)*dim]
-				for _, pk := range pcs {
-					if comp[pk] < 0 {
-						continue
-					}
-					found := false
-					cc := coreCoords[pk]
-					for off := 0; off+dim <= len(cc); off += dim {
-						if geom.Dist2(qp, cc[off:off+dim]) <= eps2 {
-							res.Labels[gi] = int(comp[pk])
-							found = true
-							break
-						}
-					}
-					if found {
-						break
-					}
-				}
-			}
+	if err := runStage(cl, "III-2", "point-labeling", k, func(t, _ int) error {
+		runs, err := runsOf(t)
+		if err == nil {
+			labelPart(runs, parts[t], merged, coreCoords, cfg.Eps, res.Labels)
 		}
-	})
+		return err
+	}); err != nil {
+		return nil, err
+	}
 
 	res.Stream.SpillReloads = reloads.Load()
 	res.Report = cl.Report()
 	probe("done")
 	return res, nil
+}
+
+// labelPart labels one partition's points (Algorithm 4, part 2): every
+// point of a core cell takes its component's cluster (Figure 3a,
+// maximality); a point of a non-core cell takes the cluster of the first
+// predecessor cell holding a core point within eps of it, and stays noise
+// otherwise.
+func labelPart(runs []*spill.Run, st *partState, m mergeOutcome, coreCoords [][]float64, eps float64, labels []int) {
+	eps2 := eps * eps
+	for _, r := range runs {
+		dim := r.Dim
+		ci := 0 // a run's cells are sorted by key, like st.keys
+		for _, c := range r.Cells {
+			for st.keys[ci] != c.Key {
+				ci++
+			}
+			id := st.ids[ci]
+			if st.cellCore[ci] {
+				for _, g := range c.IDs {
+					labels[g] = int(m.comp[id])
+				}
+				continue
+			}
+			pcs := m.preds[id]
+			for j, g := range c.IDs {
+				qp := c.Coords[j*dim : (j+1)*dim]
+			preds:
+				for _, pk := range pcs {
+					if m.comp[pk] < 0 {
+						continue
+					}
+					cc := coreCoords[pk]
+					for off := 0; off+dim <= len(cc); off += dim {
+						if geom.Dist2(qp, cc[off:off+dim]) <= eps2 {
+							labels[g] = int(m.comp[pk])
+							break preds
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// runStage runs one stage whose task bodies can fail for good — an
+// unreadable partition, a malformed worker reply — and returns the first
+// such failure. Transient failures panic inside the body instead, and the
+// engine retries them.
+func runStage(cl *engine.Cluster, phase, name string, n int, body func(t, attempt int) error) error {
+	errs := make([]error, n)
+	cl.RunStageAttempts(phase, name, n, func(t, attempt int) { errs[t] = body(t, attempt) })
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("rpdbscan: %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// invoke runs one task attempt of the named handler on the cluster's
+// Transport. A transport failure — dead worker, rejected checksum — panics
+// the attempt, which the engine turns into a ledgered retry.
+func invoke(cl *engine.Cluster, handler string, task, attempt int, input []byte) []byte {
+	out, err := cl.Transport.Invoke(handler, handler, task, attempt, input)
+	if err != nil {
+		panic(fmt.Errorf("transport: stage %q task %d attempt %d: %w", handler, task, attempt, err))
+	}
+	return out
 }

@@ -14,8 +14,10 @@ import (
 // pull is invoked serially (under a stage-internal lock, so a sequential
 // reader needs no synchronisation of its own) with the next task index; it
 // returns the task body, or nil at the clean end of the stream, or an
-// error that aborts the stage. Bodies run concurrently on the cluster's
-// pool with full RunStage parity: injected failures are retried with
+// error that aborts the stage. The body receives the zero-based attempt
+// number, as in RunStageAttempts, so a remote body can key the
+// deterministic chaos schedule with it. Bodies run concurrently on the
+// cluster's pool with full RunStage parity: injected failures are retried with
 // virtual backoff, stragglers are inflated and speculated, and each task's
 // recorded cost includes its share of the serial pull (the read is part of
 // the ingestion work the makespan must account).
@@ -25,7 +27,7 @@ import (
 // budget surfaces as a returned error rather than a panic — out-of-core
 // ingestion has legitimate runtime failures (disk full, unreadable spill)
 // that callers must be able to handle.
-func (c *Cluster) StreamStage(phase, name string, pull func(task int) (func(), error)) (*StageStats, error) {
+func (c *Cluster) StreamStage(phase, name string, pull func(task int) (func(attempt int), error)) (*StageStats, error) {
 	s := &StageStats{Name: name, Phase: phase}
 	mem0 := readAllocs()
 	start := time.Now()
@@ -89,7 +91,7 @@ func (c *Cluster) StreamStage(phase, name string, pull func(task int) (func(), e
 				if c.Sink != nil {
 					c.emit(Event{Kind: EventTaskStart, Stage: name, Phase: phase, Task: i, Time: t0})
 				}
-				body := func(int, int) { fn() }
+				body := func(_, attempt int) { fn(attempt) }
 				t1 := time.Now()
 				attempt, backoff, err := c.runWithRetry(phase, name, i, body, &retries, acc)
 				if err != nil {

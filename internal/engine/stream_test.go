@@ -16,11 +16,11 @@ func TestStreamStageRunsAllTasks(t *testing.T) {
 	const n = 37
 	var mu sync.Mutex
 	ran := make(map[int]int)
-	s, err := c.StreamStage("I-1", "stream-test", func(task int) (func(), error) {
+	s, err := c.StreamStage("I-1", "stream-test", func(task int) (func(int), error) {
 		if task >= n {
 			return nil, nil
 		}
-		return func() {
+		return func(int) {
 			mu.Lock()
 			ran[task]++
 			mu.Unlock()
@@ -52,7 +52,7 @@ func TestStreamStagePullIsSerial(t *testing.T) {
 	c := New(8)
 	var inPull atomic.Int32
 	lastTask := -1
-	_, err := c.StreamStage("I-1", "serial-pull", func(task int) (func(), error) {
+	_, err := c.StreamStage("I-1", "serial-pull", func(task int) (func(int), error) {
 		if inPull.Add(1) != 1 {
 			t.Error("pull re-entered concurrently")
 		}
@@ -64,7 +64,7 @@ func TestStreamStagePullIsSerial(t *testing.T) {
 		if task >= 50 {
 			return nil, nil
 		}
-		return func() { time.Sleep(time.Microsecond) }, nil
+		return func(int) { time.Sleep(time.Microsecond) }, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,11 +76,11 @@ func TestStreamStagePullError(t *testing.T) {
 	c := New(4)
 	boom := errors.New("bad read")
 	var bodies atomic.Int32
-	s, err := c.StreamStage("I-1", "pull-error", func(task int) (func(), error) {
+	s, err := c.StreamStage("I-1", "pull-error", func(task int) (func(int), error) {
 		if task == 3 {
 			return nil, boom
 		}
-		return func() { bodies.Add(1) }, nil
+		return func(int) { bodies.Add(1) }, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -104,11 +104,11 @@ func TestStreamStageRetriesInjectedFaults(t *testing.T) {
 	const n = 20
 	var mu sync.Mutex
 	ran := make(map[int]bool)
-	s, err := c.StreamStage("I-1", "faulty-stream", func(task int) (func(), error) {
+	s, err := c.StreamStage("I-1", "faulty-stream", func(task int) (func(int), error) {
 		if task >= n {
 			return nil, nil
 		}
-		return func() {
+		return func(int) {
 			mu.Lock()
 			ran[task] = true
 			mu.Unlock()
@@ -142,11 +142,11 @@ func TestStreamStageRetriesInjectedFaults(t *testing.T) {
 func TestStreamStageExhaustedRetriesReturnsError(t *testing.T) {
 	c := New(2)
 	c.MaxTaskRetries = 1
-	_, err := c.StreamStage("I-1", "always-fails", func(task int) (func(), error) {
+	_, err := c.StreamStage("I-1", "always-fails", func(task int) (func(int), error) {
 		if task >= 4 {
 			return nil, nil
 		}
-		return func() {
+		return func(int) {
 			if task == 2 {
 				panic(fmt.Sprintf("task %d is cursed", task))
 			}
@@ -161,7 +161,7 @@ func TestStreamStageExhaustedRetriesReturnsError(t *testing.T) {
 // empty stage and no error.
 func TestStreamStageEmptyStream(t *testing.T) {
 	c := New(4)
-	s, err := c.StreamStage("I-1", "empty", func(task int) (func(), error) { return nil, nil })
+	s, err := c.StreamStage("I-1", "empty", func(task int) (func(int), error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestStreamStageStragglers(t *testing.T) {
 	c := New(4)
 	delay := 50 * time.Millisecond
 	c.Injector = stragglerInjector{delay: delay}
-	s, err := c.StreamStage("I-1", "straggling-stream", func(task int) (func(), error) {
+	s, err := c.StreamStage("I-1", "straggling-stream", func(task int) (func(int), error) {
 		if task >= 8 {
 			return nil, nil
 		}
-		return func() {}, nil
+		return func(int) {}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,7 @@
 package harness
 
 // Phase II hot-path benchmark: the blocked SoA kernel (geom.Block lanes +
-// dict.CellBatch.CountPoints) against the scalar cell-batched path
-// (core.Config.DisableSoA) and the per-point oracle
+// dict.CellBatch.CountPoints) against the per-point oracle
 // (core.Config.DisableBatching) on the appendix's skewed mixture, swept
 // over dimensionality and size. The contrast isolates one stage —
 // cell-graph-construction (Algorithm 3) — via the engine's per-stage
@@ -35,8 +34,7 @@ var phase2Dims = []int{2, 3, 5}
 // Phase2Row reports the Phase II stage cost of one query mode at one
 // (n, dim) sweep point.
 type Phase2Row struct {
-	// Mode is "blocked" (SoA lane kernels, the default path), "batched"
-	// (cell-batched queries with scalar per-point residuals), or
+	// Mode is "blocked" (SoA lane kernels, the default path) or
 	// "per-point" (the pre-batching oracle, dim=2 groups only).
 	Mode string `json:"mode"`
 	N    int    `json:"n"`
@@ -54,24 +52,23 @@ type Phase2Row struct {
 	// RandIndex compares this mode's clustering against the blocked
 	// run's; any value other than 1 is a correctness bug.
 	RandIndex float64 `json:"rand_index"`
-	// Speedup is the batched (scalar) stage time of the same (n, dim)
-	// group divided by this mode's — 1 for the batched row itself, so the
-	// blocked row reads directly as the SoA layout win.
+	// Speedup is the per-point stage time of the same (n, dim) group
+	// divided by this mode's — 1 for the per-point row itself, so the
+	// blocked row reads directly as the batching win. Groups without a
+	// per-point row (dim > 2) report 0.
 	Speedup float64 `json:"speedup"`
 }
 
 // phase2Mode configures one measured query path.
 type phase2Mode struct {
 	name            string
-	disableSoA      bool
 	disableBatching bool
 }
 
 // Phase2 benchmarks the Phase II hot path on the skewed synthetic mixture
 // (alpha = 3, ten components) over dim x {N/2, N}: one row per query mode
 // per sweep point. The per-point oracle joins only the dim=2 groups — at
-// higher dimension it is minutes-slow and adds nothing the batched
-// contrast doesn't show.
+// higher dimension it is minutes-slow.
 func Phase2(s Scale) ([]Phase2Row, error) {
 	s = s.norm()
 	ns := []int{s.N / 2, s.N}
@@ -95,7 +92,6 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 				var out modeOut
 				for round := 0; round < phase2Rounds; round++ {
 					mcfg := cfg
-					mcfg.DisableSoA = m.disableSoA
 					mcfg.DisableBatching = m.disableBatching
 					cl := engine.New(s.Workers)
 					cl.Sink = obs.NewSink(slog.Default())
@@ -115,10 +111,7 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 				}
 				return out, nil
 			}
-			modes := []phase2Mode{
-				{name: "blocked"},
-				{name: "batched", disableSoA: true},
-			}
+			modes := []phase2Mode{{name: "blocked"}}
 			if dim == 2 {
 				modes = append(modes, phase2Mode{name: "per-point", disableBatching: true})
 			}
@@ -129,7 +122,7 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 					return nil, err
 				}
 			}
-			blocked, batched := outs[0], outs[1]
+			blocked, perPoint := outs[0], outs[len(outs)-1]
 			np := float64(pts.N())
 			for i, m := range modes {
 				o := outs[i]
@@ -144,8 +137,8 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 				if sec > 0 {
 					r.PointsPerSec = np / sec
 				}
-				if o.stage > 0 {
-					r.Speedup = float64(batched.stage) / float64(o.stage)
+				if len(modes) > 1 && o.stage > 0 {
+					r.Speedup = float64(perPoint.stage) / float64(o.stage)
 				}
 				rows = append(rows, r)
 			}

@@ -157,9 +157,7 @@ func transportRun(pts *geom.Points, ccfg core.Config, ref *core.Result,
 	}
 	defer tr.Close()
 	tr.Bind(cl)
-	pcfg := ccfg
-	pcfg.Backend = core.BackendProc
-	res, err := core.Run(pts, pcfg, cl)
+	res, err := core.Run(pts, ccfg, cl)
 	if err != nil {
 		return nil, fmt.Errorf("transport: proc run (workers=%d seed=%d chaos=%v): %w",
 			workers, seed, chaosOn, err)

@@ -12,7 +12,7 @@ import (
 
 func testReport() *engine.Report {
 	return &engine.Report{Workers: 3, Stages: []*engine.StageStats{
-		{Name: "cell-assignment", Phase: "I-1", Costs: []time.Duration{5, 3, 4, 2, 6}, Wall: 9},
+		{Name: "cell-partitioning", Phase: "I-1", Costs: []time.Duration{5, 3, 4, 2, 6}, Wall: 9},
 		{Name: "dictionary-broadcast", Phase: "I-2", Costs: []time.Duration{7}, Wall: 7, Bytes: 4096},
 		{Name: "cell-graph-construction", Phase: "II", Costs: []time.Duration{10, 1, 1}, Wall: 11},
 	}}

@@ -292,16 +292,12 @@ func (s *Snapshot) SortedCounterNames() []string {
 // CountRun applies one run's counter side-effects to the registry: the
 // shared wiring that Cluster, ClusterStream, and the rpdbscan CLI all
 // funnel through instead of repeating it per call site. Shuffle bytes
-// come from whichever partitioning stage ran (in-memory or spill), merge
-// ops from the Phase III-1 stages, and the stream counters only from
-// streamed runs.
+// come from the Phase I-1 partitioning stage, merge ops from the
+// Phase III-1 stages, and the stream counters only from streamed runs.
 func CountRun(rep *engine.Report, run RunInfo) {
 	Counters.PointsRead.Add(run.Points)
 	Counters.CellsBuilt.Add(int64(run.Cells))
 	if s := rep.Stage("cell-partitioning"); s != nil {
-		Counters.ShuffleBytes.Add(s.Bytes)
-	}
-	if s := rep.Stage("stream-spill"); s != nil {
 		Counters.ShuffleBytes.Add(s.Bytes)
 	}
 	for _, s := range rep.Stages {

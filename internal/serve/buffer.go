@@ -29,7 +29,7 @@ import (
 // recovery always lands on the batch boundary of the most recent crossing.
 //
 // An unsealed tail segment (process crash mid-stream) has no trailer and
-// is rejected by spill.ScanRuns; its points are the ones an abrupt crash
+// is rejected by spill.LoadFile; its points are the ones an abrupt crash
 // loses, which is precisely the tail beyond the last watermark — the same
 // prefix the newest persisted model artifact was fitted on.
 type IngestBuffer struct {

@@ -105,7 +105,7 @@ type RefitConfig struct {
 	// BufferDir, when set, backs the ingest buffer with durable spill
 	// segments (see IngestBuffer). Empty keeps the buffer memory-only.
 	BufferDir string
-	// Eps, MinPts, Rho, Partitions, Seed, ChunkSize, Backend mirror the
+	// Eps, MinPts, Rho, Partitions, Seed, ChunkSize mirror the
 	// offline fit configuration; a differential harness reproduces any
 	// served generation by fitting the same prefix with the same values.
 	Eps        float64
@@ -113,8 +113,7 @@ type RefitConfig struct {
 	Rho        float64 // 0 defaults to 0.01, the paper's value
 	Partitions int     // 0 defaults to Workers
 	Seed       int64
-	ChunkSize  int    // 0 defaults to core.DefaultChunkSize
-	Backend    string // "", "sim", or core.BackendProc
+	ChunkSize  int // 0 defaults to core.DefaultChunkSize
 	// Workers is the virtual cluster width of each refit; 0 defaults to
 	// GOMAXPROCS. It sets the simulated cluster and the default partition
 	// count, not the number of goroutines: a default-built refit cluster
@@ -249,7 +248,6 @@ func configFingerprint(cfg RefitConfig) uint64 {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(parts))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(cfg.Seed))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(chunk))
-	buf = append(buf, cfg.Backend...)
 	return fnv64a(buf)
 }
 
@@ -422,15 +420,12 @@ func (r *Refitter) fit(target int64) (*Model, *engine.Report, error) {
 			Rho:           r.cfg.Rho,
 			NumPartitions: r.cfg.Partitions,
 			Seed:          r.cfg.Seed,
-			Backend:       r.cfg.Backend,
 		},
 		ChunkSize: r.cfg.ChunkSize,
 	}
-	// The out-of-core pipeline is the default substrate. The proc backend
-	// routes through core.Run instead — RunStream's stages are
-	// simulator-only, while Run dispatches Phase I/II to the cluster's
-	// multi-process Transport — and the equivalence batteries pin both
-	// paths byte-identical, so the choice never changes the artifact.
+	// Every refit runs the out-of-core pipeline; a Cluster factory that
+	// binds a Transport moves its Phase I/II stages onto worker processes
+	// without changing the artifact.
 	//
 	// The engine panics when a task exhausts its retry budget ("a real
 	// bug; surface it loudly"), which is right for batch runs but must not
@@ -443,11 +438,7 @@ func (r *Refitter) fit(target int64) (*Model, *engine.Report, error) {
 				err = fmt.Errorf("serve: refit run: %v", p)
 			}
 		}()
-		if r.cfg.Backend == core.BackendProc {
-			res, err = core.Run(pts, cfg.Config, cl)
-		} else {
-			res, err = core.RunStream(pointio.FromPoints(pts), cfg, cl)
-		}
+		res, err = core.RunStream(pointio.FromPoints(pts), cfg, cl)
 	}()
 	rep := cl.Report()
 	if err != nil {

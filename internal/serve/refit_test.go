@@ -21,7 +21,6 @@ import (
 
 	rpdbscan "rpdbscan"
 	"rpdbscan/internal/chaos"
-	"rpdbscan/internal/core"
 	"rpdbscan/internal/engine"
 	"rpdbscan/internal/obs"
 	"rpdbscan/internal/registry"
@@ -551,7 +550,6 @@ func TestRefitProcKillChaos(t *testing.T) {
 	rec := newSwapRecorder()
 	cfg := testRefitConfig(t, watermark)
 	cfg.OnSwap = rec.record
-	cfg.Backend = core.BackendProc
 	cfg.Cluster = func() (*engine.Cluster, func(), error) {
 		cl := engine.New(refitWorkers)
 		cl.Sink = obs.NewSink(nil)

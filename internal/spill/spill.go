@@ -1,20 +1,23 @@
-// Package spill implements the checksummed temp files the out-of-core
-// pipeline (core.RunStream) shuffles through: the stand-in for a
-// distributed cluster's disk-backed shuffle. Each of the k partitions owns
-// one spill file; every streamed input chunk appends one "run" per
-// partition it touches, holding the chunk's cells dealt to that partition
-// (cell key, global point ids, raw coordinates).
+// Package spill implements the checksummed RPS1 run records the fit
+// pipeline shuffles Phase I partitions through: the stand-in for a
+// distributed cluster's shuffle. Each of the k partitions owns one spill —
+// a temp file for core.RunStream, memory for core.Run — and every input
+// chunk appends one "run" per partition it touches, holding the chunk's
+// cells dealt to that partition (cell key, global point ids, raw
+// coordinates). The same frames travel over the multi-process transport.
 //
 // The wire conventions follow the RPD2 dictionary format: a magic tag, an
-// FNV-1a checksum verified before any parsing, and bounded allocation on
-// load so a corrupt length field cannot balloon memory. The checksum spans
-// the body-length field and the body; within the checksummed span FNV-1a's
-// per-byte mixing is a bijection of the accumulator, so any single-byte
-// substitution inside one run record is guaranteed to be detected.
+// FNV-1a checksum verified before any parsing, and lengths bounded by the
+// bytes actually present so a corrupt length field cannot balloon memory.
+// The checksum spans the body-length field and the body; within the
+// checksummed span FNV-1a's per-byte mixing is a bijection of the
+// accumulator, so any single-byte substitution inside one run record is
+// guaranteed to be detected.
 package spill
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -101,13 +104,6 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// trailer is the decoded end-of-file record: the run count and payload
-// byte total the file promises.
-type trailer struct {
-	numRuns      int
-	payloadBytes int64
-}
-
 // EncodeTrailer serialises the end-of-file record.
 func EncodeTrailer(numRuns int, payloadBytes int64) []byte {
 	const bodyLen = 4 + 8
@@ -118,61 +114,6 @@ func EncodeTrailer(numRuns int, payloadBytes int64) []byte {
 	binary.BigEndian.PutUint64(buf[20:], uint64(payloadBytes))
 	binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[12:]))
 	return buf
-}
-
-// readRun reads and verifies the next record from br: a run, or the file
-// trailer (returned with a nil Run), or io.EOF at the clean end of the
-// stream. The body is read in bounded steps so a corrupt length field
-// cannot force a giant allocation before the checksum gate.
-func readRun(br *bufio.Reader) (*Run, *trailer, error) {
-	head := make([]byte, headerSize)
-	if _, err := io.ReadFull(br, head); err != nil {
-		if err == io.EOF {
-			return nil, nil, io.EOF
-		}
-		return nil, nil, fmt.Errorf("spill: truncated run header: %w", err)
-	}
-	isTrailer := string(head[:4]) == trailerMagic
-	if !isTrailer && string(head[:4]) != runMagic {
-		return nil, nil, fmt.Errorf("spill: bad magic %q", head[:4])
-	}
-	want := binary.BigEndian.Uint64(head[4:12])
-	bodyLen := int(binary.BigEndian.Uint32(head[12:16]))
-	if bodyLen < 10 || bodyLen > maxBodyLen {
-		return nil, nil, fmt.Errorf("spill: implausible body length %d", bodyLen)
-	}
-	body := make([]byte, 0, min(bodyLen, 1<<16))
-	step := make([]byte, 1<<16)
-	for len(body) < bodyLen {
-		n := bodyLen - len(body)
-		if n > len(step) {
-			n = len(step)
-		}
-		if _, err := io.ReadFull(br, step[:n]); err != nil {
-			return nil, nil, fmt.Errorf("spill: truncated run body: %w", err)
-		}
-		body = append(body, step[:n]...)
-	}
-	h := fnv64a(head[12:16])
-	// Continue the checksum over the body without re-concatenating.
-	const prime64 = 1099511628211
-	for i := 0; i < len(body); i++ {
-		h = (h ^ uint64(body[i])) * prime64
-	}
-	if h != want {
-		return nil, nil, fmt.Errorf("spill: run checksum mismatch")
-	}
-	if isTrailer {
-		if len(body) != 12 {
-			return nil, nil, fmt.Errorf("spill: trailer body is %d bytes, want 12", len(body))
-		}
-		return nil, &trailer{
-			numRuns:      int(binary.BigEndian.Uint32(body[:4])),
-			payloadBytes: int64(binary.BigEndian.Uint64(body[4:12])),
-		}, nil
-	}
-	r, err := parseBody(body)
-	return r, nil, err
 }
 
 // parseBody decodes a checksum-verified body. Per-cell allocations are
@@ -204,6 +145,11 @@ func parseBody(body []byte) (*Run, error) {
 		return nil, fmt.Errorf("spill: %d cells cannot fit in %d remaining bytes", numCells, len(body)-off)
 	}
 	r.Cells = make([]RunCell, 0, numCells)
+	// One backing array each for the run's ids and coordinates, sized by
+	// the bytes left (an upper bound on the point count); every cell takes
+	// a capacity-capped window, so appending to one never touches another.
+	maxPts := (len(body) - off) / (8 * (1 + r.Dim))
+	ids, coords := make([]int64, 0, maxPts), make([]float64, 0, maxPts*r.Dim)
 	for ci := 0; ci < numCells; ci++ {
 		if err := need(keyLen + 4); err != nil {
 			return nil, err
@@ -219,16 +165,16 @@ func parseBody(body []byte) (*Run, error) {
 		if err := need(recLen); err != nil {
 			return nil, err
 		}
-		c := RunCell{Key: key, IDs: make([]int64, npts), Coords: make([]float64, npts*r.Dim)}
-		for i := range c.IDs {
-			c.IDs[i] = int64(binary.BigEndian.Uint64(body[off:]))
+		i0, c0 := len(ids), len(coords)
+		for i := 0; i < npts; i++ {
+			ids = append(ids, int64(binary.BigEndian.Uint64(body[off:])))
 			off += 8
 		}
-		for i := range c.Coords {
-			c.Coords[i] = math.Float64frombits(binary.BigEndian.Uint64(body[off:]))
+		for i := 0; i < npts*r.Dim; i++ {
+			coords = append(coords, math.Float64frombits(binary.BigEndian.Uint64(body[off:])))
 			off += 8
 		}
-		r.Cells = append(r.Cells, c)
+		r.Cells = append(r.Cells, RunCell{Key: key, IDs: ids[i0:len(ids):len(ids)], Coords: coords[c0:len(coords):len(coords)]})
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("spill: %d trailing bytes after %d cells", len(body)-off, numCells)
@@ -236,40 +182,9 @@ func parseBody(body []byte) (*Run, error) {
 	return r, nil
 }
 
-// DecodeRun decodes one framed run record from the front of buf and
-// returns it with the number of bytes consumed. It is the in-memory
-// counterpart of readRun, used by the multi-process transport where RPS1
-// frames travel over sockets instead of spill files; verification is
-// identical (magic, checksum gate before parsing, bounded lengths).
-func DecodeRun(buf []byte) (*Run, int, error) {
-	if len(buf) < headerSize {
-		return nil, 0, fmt.Errorf("spill: truncated run header (%d bytes)", len(buf))
-	}
-	if string(buf[:4]) != runMagic {
-		return nil, 0, fmt.Errorf("spill: bad magic %q", buf[:4])
-	}
-	want := binary.BigEndian.Uint64(buf[4:12])
-	bodyLen := int(binary.BigEndian.Uint32(buf[12:16]))
-	if bodyLen < 10 || bodyLen > maxBodyLen {
-		return nil, 0, fmt.Errorf("spill: implausible body length %d", bodyLen)
-	}
-	if len(buf) < headerSize+bodyLen {
-		return nil, 0, fmt.Errorf("spill: truncated run body (%d of %d bytes)",
-			len(buf)-headerSize, bodyLen)
-	}
-	if fnv64a(buf[12:headerSize+bodyLen]) != want {
-		return nil, 0, fmt.Errorf("spill: run checksum mismatch")
-	}
-	r, err := parseBody(buf[headerSize : headerSize+bodyLen])
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, headerSize + bodyLen, nil
-}
-
 // FrameSize returns the total byte length of the framed run record at the
 // front of buf (header included) without verifying or parsing it — the
-// cheap split used to carve a concatenation of frames into columns.
+// cheap split used to carve a concatenation of frames apart.
 func FrameSize(buf []byte) (int, error) {
 	if len(buf) < headerSize {
 		return 0, fmt.Errorf("spill: truncated run header (%d bytes)", len(buf))
@@ -288,12 +203,20 @@ func FrameSize(buf []byte) (int, error) {
 	return headerSize + bodyLen, nil
 }
 
-// DecodeRuns decodes a concatenation of framed run records, in order.
-// Trailing garbage (including a truncated final frame) is an error.
-func DecodeRuns(buf []byte) ([]*Run, error) {
+// decodeRuns decodes a concatenation of framed run records, in order,
+// verifying each frame's checksum before parsing it. Trailing garbage
+// (including a truncated final frame) is an error.
+func decodeRuns(buf []byte) ([]*Run, error) {
 	var runs []*Run
 	for len(buf) > 0 {
-		r, n, err := DecodeRun(buf)
+		n, err := FrameSize(buf)
+		if err == nil && fnv64a(buf[12:n]) != binary.BigEndian.Uint64(buf[4:12]) {
+			err = fmt.Errorf("spill: run checksum mismatch")
+		}
+		var r *Run
+		if err == nil {
+			r, err = parseBody(buf[headerSize:n])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("spill: frame %d: %w", len(runs), err)
 		}
@@ -303,18 +226,22 @@ func DecodeRuns(buf []byte) ([]*Run, error) {
 	return runs, nil
 }
 
-// Writer appends run records to one partition's spill file. It is safe for
+// Writer appends run records to one partition's spill: a file (NewWriter)
+// or memory (NewMemWriter), byte-identical either way. It is safe for
 // concurrent use by the streaming stage's tasks, and appends are
-// idempotent per chunk: the engine re-executes and speculatively
-// re-runs task bodies, so a chunk that already reached the file is
-// silently skipped on re-append.
+// idempotent per chunk: the engine re-executes and speculatively re-runs
+// task bodies, so a chunk that already reached the spill is silently
+// skipped on re-append.
 type Writer struct {
 	mu      sync.Mutex
-	f       *os.File
+	path    string
+	f       *os.File // nil for an in-memory writer
 	bw      *bufio.Writer
+	mem     bytes.Buffer
+	out     io.Writer    // bw, or &mem
 	written map[int]bool // chunks fully appended
 	bytes   int64
-	err     error // sticky: a failed write poisons the file
+	err     error // sticky: a failed write poisons the spill
 }
 
 // NewWriter creates (truncating) the spill file at path.
@@ -323,13 +250,27 @@ func NewWriter(path string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), written: make(map[int]bool)}, nil
+	w := &Writer{path: path, f: f, bw: bufio.NewWriterSize(f, 1<<16), written: make(map[int]bool)}
+	w.out = w.bw
+	return w, nil
+}
+
+// NewMemWriter returns a Writer that keeps its records in memory.
+func NewMemWriter() *Writer {
+	w := &Writer{written: make(map[int]bool)}
+	w.out = &w.mem
+	return w
 }
 
 // AppendRun encodes and appends one run record, deduplicating by chunk
 // index. It returns the bytes appended (0 for a deduplicated re-append).
 func (w *Writer) AppendRun(chunk, dim int, cells []RunCell) (int64, error) {
-	buf := EncodeRun(chunk, dim, cells)
+	return w.AppendFrame(chunk, EncodeRun(chunk, dim, cells))
+}
+
+// AppendFrame appends one already-encoded run record (an EncodeRun frame
+// for the given chunk), deduplicating by chunk index like AppendRun.
+func (w *Writer) AppendFrame(chunk int, frame []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -338,16 +279,16 @@ func (w *Writer) AppendRun(chunk, dim int, cells []RunCell) (int64, error) {
 	if w.written[chunk] {
 		return 0, nil
 	}
-	if _, err := w.bw.Write(buf); err != nil {
-		// A partial append leaves the file unframed; poison it so every
+	if _, err := w.out.Write(frame); err != nil {
+		// A partial append leaves the spill unframed; poison it so every
 		// later append and the final Close fail loudly rather than ship a
 		// corrupt shuffle.
 		w.err = fmt.Errorf("spill: append chunk %d: %w", chunk, err)
 		return 0, w.err
 	}
 	w.written[chunk] = true
-	w.bytes += int64(len(buf))
-	return int64(len(buf)), nil
+	w.bytes += int64(len(frame))
+	return int64(len(frame)), nil
 }
 
 // Bytes returns the total bytes appended so far.
@@ -357,81 +298,74 @@ func (w *Writer) Bytes() int64 {
 	return w.bytes
 }
 
-// Close appends the trailer, flushes, and closes the file, keeping it on
-// disk for readers. Without the trailer a reader cannot tell a complete
-// file from one truncated at a record boundary.
+// Close appends the trailer and, for a file, flushes and closes it,
+// keeping it on disk for readers. Without the trailer a reader cannot tell
+// a complete spill from one truncated at a record boundary.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		w.f.Close()
-		return w.err
+	err := w.err
+	if err == nil {
+		_, err = w.out.Write(EncodeTrailer(len(w.written), w.bytes))
 	}
-	if _, err := w.bw.Write(EncodeTrailer(len(w.written), w.bytes)); err != nil {
-		w.f.Close()
+	if w.f == nil {
 		return err
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return err
+	if err == nil {
+		err = w.bw.Flush()
 	}
-	return w.f.Close()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// ScanRuns streams the verified run records of a spill file to fn in file
-// order, one at a time — the bounded-memory read path (only one run is
-// resident). fn errors abort the scan. The file must end with a trailer
-// whose run count and payload byte total match what was read.
-func ScanRuns(path string, fn func(*Run) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+// Contents returns everything a closed Writer wrote, trailer included —
+// the input Load expects. A file-backed Writer re-reads its file.
+func (w *Writer) Contents() ([]byte, error) {
+	if w.f == nil {
+		return w.mem.Bytes(), nil
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	seen := 0
-	var payload int64
-	for {
-		r, tr, err := readRun(br)
-		if err == io.EOF {
-			return fmt.Errorf("spill: %s: truncated: no trailer after %d runs", path, seen)
-		}
-		if err != nil {
-			return fmt.Errorf("spill: %s: %w", path, err)
-		}
-		if tr != nil {
-			if tr.numRuns != seen || tr.payloadBytes != payload {
-				return fmt.Errorf("spill: %s: trailer promises %d runs / %d bytes, read %d / %d",
-					path, tr.numRuns, tr.payloadBytes, seen, payload)
-			}
-			if _, err := br.ReadByte(); err != io.EOF {
-				return fmt.Errorf("spill: %s: data after trailer", path)
-			}
-			return nil
-		}
-		seen++
-		payload += int64(headerSize + 10)
-		for _, c := range r.Cells {
-			payload += int64(len(c.Key) + 4 + len(c.IDs)*8 + len(c.Coords)*8)
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
+	return os.ReadFile(w.path)
 }
 
-// LoadFile reads every run of a spill file and returns them sorted by
-// chunk index: concurrent chunk tasks append in nondeterministic order,
-// and the sort restores the deterministic global point order the
-// differential battery asserts.
+// LoadFile reads and decodes a spill file; see Load.
 func LoadFile(path string) ([]*Run, error) {
-	var runs []*Run
-	if err := ScanRuns(path, func(r *Run) error {
-		runs = append(runs, r)
-		return nil
-	}); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		return nil, err
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].Chunk < runs[j].Chunk })
+	runs, err := Load(data)
+	if err != nil {
+		return nil, fmt.Errorf("spill: %s: %w", path, err)
+	}
+	return runs, nil
+}
+
+// Load decodes a closed spill — every run record followed by a trailer
+// whose run count and payload byte total match — and returns the runs
+// sorted by chunk index: concurrent chunk tasks append in
+// nondeterministic order, and the sort restores the deterministic global
+// point order the differential battery asserts.
+func Load(data []byte) ([]*Run, error) {
+	const trailerSize = headerSize + 12
+	end := len(data) - trailerSize
+	if end < 0 || string(data[end:end+4]) != trailerMagic {
+		return nil, fmt.Errorf("spill: truncated: no trailer")
+	}
+	tr := data[end:]
+	if binary.BigEndian.Uint32(tr[12:16]) != 12 || fnv64a(tr[12:]) != binary.BigEndian.Uint64(tr[4:12]) {
+		return nil, fmt.Errorf("spill: trailer checksum mismatch")
+	}
+	runs, err := decodeRuns(data[:end])
+	if err != nil {
+		return nil, err
+	}
+	numRuns, payload := int(binary.BigEndian.Uint32(tr[16:20])), int64(binary.BigEndian.Uint64(tr[20:28]))
+	if numRuns != len(runs) || payload != int64(end) {
+		return nil, fmt.Errorf("spill: trailer promises %d runs / %d bytes, read %d / %d",
+			numRuns, payload, len(runs), end)
+	}
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Chunk < runs[j].Chunk })
 	return runs, nil
 }

@@ -13,6 +13,7 @@ import (
 	"rpdbscan/internal/datagen"
 	"rpdbscan/internal/engine"
 	"rpdbscan/internal/geom"
+	"rpdbscan/internal/pointio"
 	"rpdbscan/internal/transport"
 )
 
@@ -35,7 +36,6 @@ func procRun(t *testing.T, pts *geom.Points, cfg core.Config, workers int,
 	}
 	t.Cleanup(func() { tr.Close() })
 	tr.Bind(cl)
-	cfg.Backend = core.BackendProc
 	res, err := core.Run(pts, cfg, cl)
 	if err != nil {
 		t.Fatalf("proc run: %v", err)
@@ -134,6 +134,18 @@ func equivalenceInput(t *testing.T, seed int64) (*geom.Points, core.Config, *cor
 func checkEquivalence(t *testing.T, pts *geom.Points, cfg core.Config, ref *core.Result,
 	seed int64, workers int, chaosOn bool) {
 	t.Helper()
+	checkProcFit(t, ref, seed, workers, chaosOn, func(cl *engine.Cluster) (*core.Result, error) {
+		return core.Run(pts, cfg, cl)
+	})
+}
+
+// checkProcFit runs fit on a cluster bound to a proc transport on the
+// in-process spawner and checks the result against ref; under chaos it
+// also reconciles the engine's fault ledger against the injector's tally.
+// It returns the cluster the fit ran on.
+func checkProcFit(t *testing.T, ref *core.Result, seed int64, workers int, chaosOn bool,
+	fit func(*engine.Cluster) (*core.Result, error)) *engine.Cluster {
+	t.Helper()
 	opts := transport.Options{Spawn: transport.InProcess()}
 	var inj *chaos.Injector
 	if chaosOn {
@@ -157,9 +169,7 @@ func checkEquivalence(t *testing.T, pts *geom.Points, cfg core.Config, ref *core
 	}
 	defer tr.Close()
 	tr.Bind(cl)
-	pcfg := cfg
-	pcfg.Backend = core.BackendProc
-	got, err := core.Run(pts, pcfg, cl)
+	got, err := fit(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +179,7 @@ func checkEquivalence(t *testing.T, pts *geom.Points, cfg core.Config, ref *core
 		if !f.IsZero() {
 			t.Errorf("fault ledger not empty without chaos: %+v", f)
 		}
-		return
+		return cl
 	}
 	st := inj.Stats()
 	if st.Failures != f.InjectedFailures {
@@ -180,6 +190,35 @@ func checkEquivalence(t *testing.T, pts *geom.Points, cfg core.Config, ref *core
 	}
 	if st.Kills != f.WorkerKills {
 		t.Errorf("kills: injector %d, ledger %d", st.Kills, f.WorkerKills)
+	}
+	return cl
+}
+
+// TestRunStreamTransportEquivalence feeds the pipeline from a Source on
+// the proc transport: RunStream's chunk tasks invoke the worker-side
+// Phase I-1 handler and its spill files feed the remote Phase I-2 and II
+// stages. At chunk sizes 1 and 173, with chaos off and on, every run must
+// be byte-identical to in-process Run, and under chaos the fault ledger
+// must reconcile exactly against the injector's tally.
+func TestRunStreamTransportEquivalence(t *testing.T) {
+	const seed = 1
+	pts, cfg, ref := equivalenceInput(t, seed)
+	for _, chunk := range []int{1, 173} {
+		for _, chaosOn := range []bool{false, true} {
+			t.Run(fmt.Sprintf("chunk=%d/chaos=%v", chunk, chaosOn), func(t *testing.T) {
+				cl := checkProcFit(t, ref, seed, 2, chaosOn, func(cl *engine.Cluster) (*core.Result, error) {
+					return core.RunStream(pointio.FromPoints(pts), core.StreamConfig{
+						Config: cfg, ChunkSize: chunk, SpillDir: t.TempDir(),
+					}, cl)
+				})
+				if cl.Report().Stage("dictionary-push") == nil {
+					t.Fatal("the run never pushed to the workers")
+				}
+				if chaosOn && faultTotals(cl).IsZero() {
+					t.Error("chaos injected no fault")
+				}
+			})
+		}
 	}
 }
 
@@ -273,7 +312,6 @@ func TestExternalSigkillIsCollateral(t *testing.T) {
 	// Give the kernel a moment to tear the socket down.
 	time.Sleep(50 * time.Millisecond)
 	pcfg := cfg
-	pcfg.Backend = core.BackendProc
 	got, err := core.Run(pts, pcfg, cl)
 	if err != nil {
 		t.Fatal(err)
@@ -322,10 +360,8 @@ func TestWireCorruptionPerStage(t *testing.T) {
 		sub   int
 	}{
 		{"config-push", 0},             // conf blob, chunk 0
-		{"points-push", 0},             // input blob, chunk 0
-		{"cell-assignment", 1},         // RPS1 frames, response side (its request is empty: points are a blob)
-		{"cell-partitioning", 0},       // shuffle column in
-		{"cell-partitioning", 1},       // merged frame out
+		{"cell-partitioning", 0},       // input chunk in
+		{"cell-partitioning", 1},       // RPS1 partition frames out
 		{"dictionary-build", 1},        // RPD2 entry shard back
 		{"dictionary-push", 0},         // RPD2 broadcast blob
 		{"dictionary-load", 1},         // load ack
@@ -386,7 +422,6 @@ func TestRaceStressRetryState(t *testing.T) {
 		}
 		tr.Bind(cl)
 		pcfg := cfg
-		pcfg.Backend = core.BackendProc
 		got, err := core.Run(pts, pcfg, cl)
 		tr.Close()
 		if err != nil {

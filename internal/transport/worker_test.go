@@ -132,7 +132,7 @@ func TestWorkerServerRoutes(t *testing.T) {
 	}
 	// Unknown handler: 404 listing what exists.
 	rr = postInvoke(srv, "no-such", 0, in, sumOf(in))
-	if rr.Code != http.StatusNotFound || !strings.Contains(rr.Body.String(), "cell-assignment") {
+	if rr.Code != http.StatusNotFound || !strings.Contains(rr.Body.String(), "cell-partitioning") {
 		t.Fatalf("unknown handler: %d %q", rr.Code, rr.Body.String())
 	}
 	// Handler error: 500 with the message.
